@@ -16,12 +16,10 @@
 // Each MD measurement is the median of -reps runs. The -tc mode instead
 // times transitive closure over an n-vertex path through the generic
 // engine — the quick engine health check behind BenchmarkTCPath1000.
-// The -ra mode A/Bs the streaming relational-algebra backend against
-// the materialized backend and the Theorem 4.4 grounding on an n-bag
-// τ_td chain (interleaved runs, allocation volume and wall time), and
-// demonstrates a MaxGroundAtoms-capped run completing on the direct
-// streaming path; with -json it writes the BENCH_ra.json acceptance
-// artifact. The
+// The -ra mode compares the direct semi-naive path against the Theorem
+// 4.4 grounding on an n-bag τ_td chain (allocation volume and wall
+// time), and demonstrates a MaxGroundAtoms-capped run completing on the
+// direct path; with -json it writes the BENCH_ra.json artifact. The
 // -pipeline mode times the end-to-end FPT pipeline (graph → min-fill →
 // nice form → 3-colorability DP) on an n-vertex workload, the health row
 // behind BenchmarkPipeline. The -session mode measures the session
@@ -75,7 +73,7 @@ func main() {
 	skipMona := flag.Bool("skipmona", false, "skip the baseline column")
 	reps := flag.Int("reps", 3, "repetitions per MD measurement (median reported)")
 	tc := flag.Int("tc", 0, "instead time transitive closure over an n-vertex path")
-	ra := flag.Int("ra", 0, "instead A/B the streaming RA backend on an n-bag τ_td chain")
+	ra := flag.Int("ra", 0, "instead compare direct and grounded evaluation on an n-bag τ_td chain")
 	pipeline := flag.Int("pipeline", 0, "instead time the end-to-end FPT pipeline on an n-vertex graph")
 	sessionN := flag.Int("session", 0, "instead measure session artifact reuse on an n-element structure")
 	serveN := flag.Int("serve", 0, "instead load-test an in-process monadicd server with n concurrent clients")
@@ -211,12 +209,10 @@ func main() {
 			fail(err)
 		}
 		fmt.Printf("ra(n=%d): ground program %d literals, fixpoint %d facts\n", res.N, res.GroundLits, res.Facts)
-		fmt.Printf("direct streaming:    %v, %d B (streamed %d tuples, %d joins pushed down, peak buffered %d)\n",
+		fmt.Printf("direct:             %v, %d B (streamed %d tuples, %d joins pushed down, peak buffered %d)\n",
 			time.Duration(res.StreamNS), res.StreamBytes, res.TuplesStreamed, res.JoinsPushedDown, res.PeakBuffered)
-		fmt.Printf("direct materialized: %v, %d B  (streaming/materialized time ratio %.2f)\n",
-			time.Duration(res.MatNS), res.MatBytes, res.ThroughputRatio)
-		fmt.Printf("grounded (Thm 4.4):  %v, %d B  (alloc ratios: grounded/streaming %.1fx, materialized/streaming %.2fx)\n",
-			time.Duration(res.GroundedNS), res.GroundedBy, res.GroundedAllocRatio, res.EngineAllocRatio)
+		fmt.Printf("grounded (Thm 4.4): %v, %d B (grounded/direct alloc ratio %.1fx)\n",
+			time.Duration(res.GroundedNS), res.GroundedBy, res.GroundedAllocRatio)
 		fmt.Printf("budget cap %d ground atoms: grounded dies (%s); direct completes %v (%d facts in %v)\n",
 			res.BudgetCap, res.GroundedBudget, res.DirectUnderCap, res.DirectBudgetFact, time.Duration(res.DirectBudgetNS))
 		writeJSON(*jsonOut, *jsonDir, "ra", res)

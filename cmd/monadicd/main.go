@@ -6,8 +6,7 @@
 // Usage:
 //
 //	monadicd [-addr :8377] [-budget n] [-timeout d] [-max-sessions n] [-grace d]
-//	         [-engine streaming|materialized] [-eval grounded|direct]
-//	         [-backend automaton|game]
+//	         [-eval grounded|direct] [-backend automaton|game]
 //	         [-max-budget n] [-max-timeout d]
 //	         [-max-concurrency n] [-queue n] [-latency-target d]
 //	         [-breaker-threshold n] [-breaker-cooldown d]
@@ -17,14 +16,13 @@
 // -budget and -timeout set the per-request defaults (each request gets
 // a freshly minted budget; X-Budget / X-Timeout headers override, up to
 // the -max-budget / -max-timeout ceilings — a header above its ceiling
-// is a 400). -engine selects the datalog rule-evaluation backend; -eval
-// selects the session evaluation path — "grounded" is the paper-faithful
-// Theorem 4.4 grounding, "direct" streams the compiled program through
-// the engine without materializing the ground program. -backend sets
-// the default MSO evaluation backend for /eval and /batch — "automaton"
-// (the Theorem 4.4/4.5 compile-and-evaluate pipeline) or "game" (the
-// lazy game-theoretic evaluator); the X-Backend header overrides it per
-// request.
+// is a 400). -eval selects the session evaluation path — "grounded" is
+// the paper-faithful Theorem 4.4 grounding, "direct" streams the
+// compiled program through the engine without materializing the ground
+// program. -backend sets the default MSO evaluation backend for /eval
+// and /batch — "automaton" (the Theorem 4.4/4.5 compile-and-evaluate
+// pipeline) or "game" (the lazy game-theoretic evaluator); the X-Backend
+// header overrides it per request.
 //
 // Overload control: adaptive admission (AIMD on observed latency versus
 // -latency-target, concurrency capped at -max-concurrency, a bounded
@@ -51,7 +49,6 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/datalog"
 	"repro/internal/overload"
 	"repro/internal/server"
 	"repro/internal/session"
@@ -63,7 +60,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "default per-request deadline (0 = none)")
 	maxSessions := flag.Int("max-sessions", server.DefaultMaxSessions, "resident session cap (FIFO eviction beyond it)")
 	grace := flag.Duration("grace", 5*time.Second, "shutdown drain grace period")
-	engine := flag.String("engine", "streaming", "datalog rule-evaluation backend: streaming or materialized")
 	evalPath := flag.String("eval", "grounded", "session evaluation path: grounded (Theorem 4.4) or direct (stream the program, skip grounding)")
 	backendName := flag.String("backend", "", "default MSO evaluation backend: automaton or game (X-Backend overrides per request)")
 	maxBudget := flag.Int64("max-budget", 0, "ceiling on the X-Budget header (0 = none; a header above it is a 400)")
@@ -85,15 +81,6 @@ func main() {
 	}
 	if *memWatermarkMB < 0 {
 		fmt.Fprintln(os.Stderr, "monadicd: -mem-watermark-mb must be >= 0")
-		os.Exit(cli.ExitUsage)
-	}
-	switch *engine {
-	case "streaming":
-		datalog.SetEngine(datalog.EngineStreaming)
-	case "materialized":
-		datalog.SetEngine(datalog.EngineMaterialized)
-	default:
-		fmt.Fprintf(os.Stderr, "monadicd: unknown -engine %q (want streaming or materialized)\n", *engine)
 		os.Exit(cli.ExitUsage)
 	}
 	switch *evalPath {

@@ -12,7 +12,7 @@ import (
 	"repro/internal/stage"
 )
 
-// TDChainProgram builds the τ_td workload of the streaming-engine A/B:
+// TDChainProgram builds the τ_td workload of the -ra comparison:
 // a monadic program in the style of Theorem 4.5's output — k type
 // predicates, each propagating bottom-up along child1 — over a
 // chain-shaped tree decomposition. Compiled MSO programs carry one rule
@@ -49,12 +49,12 @@ func TDChain(n int) *datalog.DB {
 	return db
 }
 
-// RAResult is the BENCH_ra.json payload: the streaming-engine A/B on
-// the τ_td chain workload. Engine rows compare the two rule-evaluation
-// backends over the same direct fixpoint (interleaved, medians); the
-// grounded row is the Theorem 4.4 pipeline on the same inputs; the
-// budget rows demonstrate that a run killed by MaxGroundAtoms under
-// grounding completes under the same budget on the streaming path.
+// RAResult is the BENCH_ra.json payload: the two evaluation paths on the
+// τ_td chain workload. The stream row is the direct semi-naive fixpoint
+// (median of reps); the grounded row is the Theorem 4.4 pipeline on the
+// same inputs; the budget rows demonstrate that a run killed by
+// MaxGroundAtoms under grounding completes under the same budget on the
+// direct path.
 type RAResult struct {
 	N          int `json:"n"`
 	GroundLits int `json:"ground_lits"` // |P'| of the Theorem 4.4 grounding
@@ -63,17 +63,10 @@ type RAResult struct {
 
 	StreamNS    int64 `json:"stream_ns"`
 	StreamBytes int64 `json:"stream_bytes"`
-	MatNS       int64 `json:"mat_ns"`
-	MatBytes    int64 `json:"mat_bytes"`
 	GroundedNS  int64 `json:"grounded_ns"`
 	GroundedBy  int64 `json:"grounded_bytes"`
 
-	// ThroughputRatio is streaming ns over materialized ns (≤1.10 meets
-	// the ±10% acceptance bound); EngineAllocRatio is materialized bytes
-	// over streaming bytes; GroundedAllocRatio is grounded bytes over
-	// streaming bytes (the ≥2× headline).
-	ThroughputRatio    float64 `json:"throughput_ratio"`
-	EngineAllocRatio   float64 `json:"engine_alloc_ratio"`
+	// GroundedAllocRatio is grounded bytes over streaming bytes.
 	GroundedAllocRatio float64 `json:"grounded_alloc_ratio"`
 
 	TuplesStreamed  int64 `json:"tuples_streamed"`
@@ -112,31 +105,29 @@ func median(xs []int64) int64 {
 // workload program; see TDChainProgram.
 const RATypes = 8
 
-// RACompare runs the streaming-engine A/B on the n-bag τ_td chain with
-// RATypes type families: interleaved direct evaluations under both
-// backends (medians of reps), one grounded evaluation, and the
-// MaxGroundAtoms budget demonstration. Every leg checks the fixpoint
-// derives accept, so a wrong answer fails the benchmark rather than
-// skewing it.
+// RACompare compares the evaluation paths on the n-bag τ_td chain with
+// RATypes type families: direct semi-naive evaluations (median of reps),
+// one grounded evaluation, and the MaxGroundAtoms budget demonstration.
+// Every leg checks the fixpoint derives accept, so a wrong answer fails
+// the benchmark rather than skewing it.
 func RACompare(ctx context.Context, n, reps int) (*RAResult, error) {
 	if reps < 1 {
 		reps = 1
 	}
 	prog, edb := TDChainProgram(RATypes), TDChain(n)
 	res := &RAResult{N: n, Reps: reps}
-	prev := datalog.CurrentEngine()
-	defer datalog.SetEngine(prev)
 
 	// EvalCtx clones internally and never mutates edb, so the direct
-	// legs share one EDB; the grounded leg interns into its input and
+	// runs share one EDB; the grounded leg interns into its input and
 	// gets a pre-made clone outside the measured region.
-	runDirect := func(eng datalog.Engine, c *datalog.StatsCollector) (time.Duration, int64, error) {
-		datalog.SetEngine(eng)
-		rctx := ctx
-		if c != nil {
-			rctx = datalog.WithStatsCollector(ctx, c)
+	var sNS, sBy []int64
+	var collector datalog.StatsCollector
+	rctx := datalog.WithStatsCollector(ctx, &collector)
+	for r := 0; r < reps; r++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		return measureAlloc(func() error {
+		dur, bytes, err := measureAlloc(func() error {
 			out, err := datalog.EvalCtx(rctx, prog, edb)
 			if err != nil {
 				return err
@@ -147,29 +138,12 @@ func RACompare(ctx context.Context, n, reps int) (*RAResult, error) {
 			res.Facts = out.NumFacts()
 			return nil
 		})
-	}
-
-	// Interleave the two backends so allocator and cache drift hits both
-	// sides equally; keep per-rep samples and report medians.
-	var sNS, sBy, mNS, mBy []int64
-	var collector datalog.StatsCollector
-	for r := 0; r < reps; r++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		dur, bytes, err := runDirect(datalog.EngineMaterialized, nil)
-		if err != nil {
-			return nil, err
-		}
-		mNS, mBy = append(mNS, dur.Nanoseconds()), append(mBy, bytes)
-		dur, bytes, err = runDirect(datalog.EngineStreaming, &collector)
 		if err != nil {
 			return nil, err
 		}
 		sNS, sBy = append(sNS, dur.Nanoseconds()), append(sBy, bytes)
 	}
 	res.StreamNS, res.StreamBytes = median(sNS), median(sBy)
-	res.MatNS, res.MatBytes = median(mNS), median(mBy)
 	es := collector.Snapshot()
 	res.TuplesStreamed = es.TuplesStreamed / int64(reps)
 	res.JoinsPushedDown = es.JoinsPushedDown
@@ -199,18 +173,14 @@ func RACompare(ctx context.Context, n, reps int) (*RAResult, error) {
 	res.GroundedNS, res.GroundedBy = dur.Nanoseconds(), bytes
 
 	if res.StreamBytes > 0 {
-		res.EngineAllocRatio = float64(res.MatBytes) / float64(res.StreamBytes)
 		res.GroundedAllocRatio = float64(res.GroundedBy) / float64(res.StreamBytes)
-	}
-	if res.MatNS > 0 {
-		res.ThroughputRatio = float64(res.StreamNS) / float64(res.MatNS)
 	}
 
 	// Budget demonstration: cap ground-atom interning below what the
 	// grounding needs (it interns one theta0 atom per bag). The grounded
-	// path must die with a budget error; the direct streaming path runs
-	// under an identically-capped fresh budget and completes, because it
-	// never materializes the ground program.
+	// path must die with a budget error; the direct path runs under an
+	// identically-capped fresh budget and completes, because it never
+	// materializes the ground program.
 	res.BudgetCap = int64(n / 2)
 	bctx := stage.WithBudget(ctx, &stage.Budget{MaxGroundAtoms: res.BudgetCap})
 	if _, err := datalog.EvalQuasiGuardedCtx(bctx, prog, edb.Clone(), datalog.TDFuncDeps(1)); err != nil {
@@ -218,7 +188,6 @@ func RACompare(ctx context.Context, n, reps int) (*RAResult, error) {
 	} else {
 		return nil, fmt.Errorf("bench: ra(%d): grounding survived MaxGroundAtoms=%d", n, res.BudgetCap)
 	}
-	datalog.SetEngine(datalog.EngineStreaming)
 	bctx = stage.WithBudget(ctx, &stage.Budget{MaxGroundAtoms: res.BudgetCap})
 	dur, _, err = measureAlloc(func() error {
 		out, err := datalog.EvalCtx(bctx, prog, edb)

@@ -42,9 +42,9 @@ func ApplyDelta(p *Program, db *DB, ins, del []Fact) (DeltaStats, error) {
 // propagated semi-naively with the edit delta as the seed; retractions
 // use DRed (over-delete every derivation that consumed a deleted fact,
 // then re-derive what has an intact alternative support), both phases
-// reusing the compiled rule machinery — under the streaming engine the
-// insertion rounds run through the same cached rulePlans as Eval, with
-// the delta relation as the scan input.
+// reusing the compiled rule machinery — every delta join runs through
+// cached rulePlans like Eval's, with the delta relation as the scan
+// input.
 //
 // Both phases are consumer-driven: tasks are scheduled per delta tuple
 // through an index over the rules' body occurrences, so the cost is
@@ -52,9 +52,9 @@ func ApplyDelta(p *Program, db *DB, ins, del []Fact) (DeltaStats, error) {
 // compiled MSO programs have thousands of strata and mostly-ground rule
 // bodies, and a single-tuple edit must not visit them all. The index
 // (with its compiled rules, stratification, and validation) is cached on
-// db across calls, keyed by program identity and engine: the program
-// must not be mutated between calls, and calls sharing a db must not
-// run concurrently — both already required by the in-place maintenance
+// db across calls, keyed by program identity: the program must not be
+// mutated between calls, and calls sharing a db must not run
+// concurrently — both already required by the in-place maintenance
 // contract.
 //
 // Supported fragment: edits must target extensional predicates, and
@@ -71,14 +71,13 @@ func ApplyDeltaCtx(ctx context.Context, p *Program, db *DB, ins, del []Fact) (De
 		return stats, stage.Wrap(stage.Eval, err)
 	}
 	cfg := evalConfig{
-		streaming: CurrentEngine() == EngineStreaming,
 		budget:    stage.BudgetFrom(ctx),
 		collector: statsCollectorFrom(ctx),
 	}
 	ix := db.deltaIx
-	if ix == nil || ix.p != p || ix.cfg.streaming != cfg.streaming {
+	if ix == nil || ix.p != p {
 		var err error
-		if ix, err = buildDeltaIndex(p, db, cfg.streaming); err != nil {
+		if ix, err = buildDeltaIndex(p, db); err != nil {
 			return stats, err
 		}
 		db.deltaIx = ix
@@ -341,7 +340,7 @@ type deltaIndex struct {
 	byHead      map[string][]int // head pred → rule indices (program order)
 	pos         consumerIndex    // positive non-builtin occurrences
 	neg         consumerIndex    // negated non-builtin occurrences
-	plain       []*cRule         // compiled rules (full body), by rule index
+	plain       []*cRule         // compiled rules for derives, by rule index
 	flipCache   map[consumer]*cRule
 	instCache   map[consumer]*cRule
 }
@@ -349,7 +348,7 @@ type deltaIndex struct {
 // buildDeltaIndex validates the program against the supported fragment
 // and builds the scheduling index. Constants are interned up front so
 // compilation inside the phases never races with DB readers.
-func buildDeltaIndex(p *Program, db *DB, streaming bool) (*deltaIndex, error) {
+func buildDeltaIndex(p *Program, db *DB) (*deltaIndex, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -379,7 +378,6 @@ func buildDeltaIndex(p *Program, db *DB, streaming bool) (*deltaIndex, error) {
 	}
 	ix := &deltaIndex{
 		p: p, db: db,
-		cfg:         evalConfig{streaming: streaming},
 		intens:      intens,
 		strata:      strata,
 		nStrata:     len(strata),
@@ -408,9 +406,11 @@ func buildDeltaIndex(p *Program, db *DB, streaming bool) (*deltaIndex, error) {
 	return ix, nil
 }
 
-// plainRule, flipRule, and instance hand out compiled rule instances,
-// cached across calls; the per-call context and budget plumbing is
-// refreshed on every access since the cache outlives the call.
+// plainRule and instance hand out compiled rule instances, cached
+// across calls; the per-call context and budget plumbing is refreshed
+// on every access since the cache outlives the call. plainRule's
+// instances carry no plan: derives runs them through the backtracking
+// matcher.
 func (ix *deltaIndex) plainRule(ri int) *cRule {
 	c := ix.plain[ri]
 	if c == nil {
@@ -421,39 +421,29 @@ func (ix *deltaIndex) plainRule(ri int) *cRule {
 	return c
 }
 
-// flipRule compiles the rule with the negation at occ dropped, so the
-// occurrence can be scanned positively over an edit delta: in phase A
-// over the insertions that falsify ¬q(t̄), in phase C over the deletions
-// that make it vacuously true.
-func (ix *deltaIndex) flipRule(cn consumer) *cRule {
-	c := ix.flipCache[cn]
+// instance is the rule instance whose streaming plan is driven by the
+// consumer's occurrence — the same machinery evalStratum gives its
+// tasks. With flip, the occurrence's negation is dropped so it can be
+// scanned positively over an edit delta: in phase A over the insertions
+// that falsify ¬q(t̄), in phase C over the deletions that make it
+// vacuously true.
+func (ix *deltaIndex) instance(cn consumer, flip bool) (*cRule, error) {
+	cache := ix.instCache
+	if flip {
+		cache = ix.flipCache
+	}
+	c := cache[cn]
 	if c == nil {
 		r := ix.p.Rules[cn.ri]
-		r.Body = append([]Atom(nil), r.Body...)
-		r.Body[cn.occ].Negated = false
-		c = compileRule(r, ix.db)
-		ix.flipCache[cn] = c
-	}
-	c.ctx = ix.ctx
-	return c
-}
-
-// instance is the insertion-round variant: budget/stats plumbing and,
-// under the streaming engine, the per-occurrence cached plan — the same
-// machinery evalStratum gives its tasks.
-func (ix *deltaIndex) instance(cn consumer) (*cRule, error) {
-	c := ix.instCache[cn]
-	if c == nil {
-		c = compileRule(ix.p.Rules[cn.ri], ix.db)
-		if ix.cfg.streaming {
-			c.streaming = true
-			plan, err := buildPlan(c, cn.occ)
-			if err != nil {
-				return nil, err
-			}
-			c.plan = plan
+		if flip {
+			r.Body = append([]Atom(nil), r.Body...)
+			r.Body[cn.occ].Negated = false
 		}
-		ix.instCache[cn] = c
+		var err error
+		if c, err = compilePlanned(r, ix.db, cn.occ, ix.cfg); err != nil {
+			return nil, err
+		}
+		cache[cn] = c
 	}
 	c.ctx = ix.ctx
 	c.budget = ix.cfg.budget
@@ -568,12 +558,8 @@ func (ix *deltaIndex) overDelete(allDel, insSeed, overdel map[string]*relation) 
 			views := map[string]*relation{}
 			wave := map[string]*relation{}
 			for _, t := range batch {
-				var c *cRule
-				var src map[string]*relation
-				if t.flip {
-					c = ix.flipRule(t.cn)
-					src = insSeed
-				} else {
+				src := insSeed
+				if !t.flip {
 					pred := ix.p.Rules[t.cn.ri].Body[t.cn.occ].Pred
 					d := allDel[pred]
 					if d == nil || len(d.tuples) == 0 {
@@ -590,8 +576,11 @@ func (ix *deltaIndex) overDelete(allDel, insSeed, overdel map[string]*relation) 
 					if v == nil {
 						continue // already scanned by an earlier round
 					}
-					c = ix.plainRule(t.cn.ri)
 					src = views
+				}
+				c, err := ix.instance(t.cn, t.flip)
+				if err != nil {
+					return err
 				}
 				head := ix.p.Rules[t.cn.ri].Head
 				if err := c.eval(src, t.cn.occ, collect(head.Pred, len(head.Args), wave)); err != nil {
@@ -633,11 +622,11 @@ type rederiveCounts struct {
 // rederive is DRed phase C, against the new state: restore over-deleted
 // facts that kept an alternative derivation, seed derivations a deletion
 // unblocked (¬q(t̄) now holds for every net-deleted q-fact), and run
-// semi-naive insertion rounds through the shared round runner — under
-// the streaming engine these reuse per-rule cached plans with the delta
-// relation as the scan input, exactly as Eval does. Newly derived facts
-// are merged into allIns and their consumers scheduled, with the same
-// per-tuple scheduling and per-stratum watermarks as phase A.
+// semi-naive insertion rounds through the shared round runner — these
+// reuse per-rule cached plans with the delta relation as the scan input,
+// exactly as Eval does. Newly derived facts are merged into allIns and
+// their consumers scheduled, with the same per-tuple scheduling and
+// per-stratum watermarks as phase A.
 func (ix *deltaIndex) rederive(overdel, allDel, allIns map[string]*relation) (rederiveCounts, error) {
 	var n rederiveCounts
 	pend := make([]map[consumer]bool, ix.nStrata)
@@ -729,11 +718,14 @@ func (ix *deltaIndex) rederive(overdel, allDel, allIns map[string]*relation) (re
 			if err := ix.ctx.Err(); err != nil {
 				return n, stage.Wrap(stage.Eval, err)
 			}
-			c := ix.flipRule(cn)
+			c, err := ix.instance(cn, true)
+			if err != nil {
+				return n, err
+			}
 			head := ix.p.Rules[cn.ri].Head
 			rel := ix.db.rel(head.Pred, len(head.Args))
 			var derived [][]int
-			err := c.eval(allDel, cn.occ, func(t []int) {
+			err = c.eval(allDel, cn.occ, func(t []int) {
 				if stored, added := rel.insertRow(t); added {
 					n.derived++
 					record(head.Pred, len(head.Args), stored)
@@ -784,7 +776,7 @@ func (ix *deltaIndex) rederive(overdel, allDel, allIns map[string]*relation) (re
 				if v == nil {
 					continue // already scanned by an earlier round
 				}
-				c, err := ix.instance(cn)
+				c, err := ix.instance(cn, false)
 				if err != nil {
 					return n, err
 				}
@@ -855,17 +847,10 @@ func (c *cRule) derives(fact []int) (bool, error) {
 		c.binding[a.slot] = fact[i]
 	}
 	found := false
-	c.deltaOcc = -1
+	c.bind(nil, -1)
 	c.emit = func([]int) {
 		found = true
 		c.stopped = true
-	}
-	for i := range c.body {
-		a := &c.body[i]
-		if a.builtin {
-			continue
-		}
-		a.rel = c.db.rels[a.pred]
 	}
 	err := c.step(0)
 	c.stopped = false

@@ -32,7 +32,6 @@ func TestApplyDeltaDifferential(t *testing.T) {
 		}
 		return Fact{Pred: "e", Args: []string{consts[rng.Intn(len(consts))], consts[rng.Intn(len(consts))]}}
 	}
-	defer SetEngine(SetEngine(EngineStreaming))
 	tried, run, unsupported := 0, 0, 0
 	for run < 200 && tried < 2500 {
 		tried++
@@ -67,23 +66,20 @@ func TestApplyDeltaDifferential(t *testing.T) {
 				after = append(after, f)
 			}
 		}
-		for _, eng := range []Engine{EngineStreaming, EngineMaterialized} {
-			SetEngine(eng)
-			inc, err := Eval(p, edbFromFacts(facts))
-			if err != nil {
-				continue
-			}
-			want, coldErr := Eval(p, edbFromFacts(after))
-			_, derr := ApplyDelta(p, inc, ins, del)
-			if errors.Is(derr, ErrDeltaUnsupported) {
-				unsupported++
-				continue
-			}
-			if derr != nil || coldErr != nil {
-				t.Fatalf("program #%d %v: delta err %v, cold err %v", run, p, derr, coldErr)
-			}
-			sameFacts(t, inc, want, fmt.Sprintf("program #%d engine=%s ins=%v del=%v %v", run, eng, ins, del, p))
+		inc, err := Eval(p, edbFromFacts(facts))
+		if err != nil {
+			continue
 		}
+		want, coldErr := Eval(p, edbFromFacts(after))
+		_, derr := ApplyDelta(p, inc, ins, del)
+		if errors.Is(derr, ErrDeltaUnsupported) {
+			unsupported++
+			continue
+		}
+		if derr != nil || coldErr != nil {
+			t.Fatalf("program #%d %v: delta err %v, cold err %v", run, p, derr, coldErr)
+		}
+		sameFacts(t, inc, want, fmt.Sprintf("program #%d ins=%v del=%v %v", run, ins, del, p))
 	}
 	if run < 100 {
 		t.Fatalf("generator too weak: only %d/%d candidates were valid programs", run, tried)
@@ -101,7 +97,6 @@ func TestApplyDeltaEditSequence(t *testing.T) {
 		"sg(X, X) :- n(X).\nsg(X, Y) :- e(X, XP), sg(XP, YP), e(Y, YP).",
 		"odd(Y) :- n(X), e(X, Y), not n(Y).\nreach(X) :- odd(X).\nreach(Y) :- reach(X), e(X, Y).",
 	}
-	defer SetEngine(SetEngine(EngineStreaming))
 	for pi, src := range progs {
 		p := MustParse(src)
 		rng := rand.New(rand.NewSource(int64(100 + pi)))
@@ -119,39 +114,36 @@ func TestApplyDeltaEditSequence(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			facts = append(facts, randFact())
 		}
-		for _, eng := range []Engine{EngineStreaming, EngineMaterialized} {
-			SetEngine(eng)
-			cur := append([]Fact(nil), facts...)
-			inc, err := Eval(p, edbFromFacts(cur))
+		cur := append([]Fact(nil), facts...)
+		inc, err := Eval(p, edbFromFacts(cur))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 50; step++ {
+			var ins, del []Fact
+			if len(cur) > 0 && rng.Intn(2) == 0 {
+				f := cur[rng.Intn(len(cur))]
+				del = append(del, f)
+				live := cur[:0] // the DB dedups, so retract every copy
+				for _, g := range cur {
+					if g.Pred != f.Pred || fmt.Sprint(g.Args) != fmt.Sprint(f.Args) {
+						live = append(live, g)
+					}
+				}
+				cur = live
+			} else {
+				f := randFact()
+				ins = append(ins, f)
+				cur = append(cur, f)
+			}
+			if _, err := ApplyDelta(p, inc, ins, del); err != nil {
+				t.Fatalf("prog %d step %d: %v", pi, step, err)
+			}
+			want, err := Eval(p, edbFromFacts(cur))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for step := 0; step < 50; step++ {
-				var ins, del []Fact
-				if len(cur) > 0 && rng.Intn(2) == 0 {
-					f := cur[rng.Intn(len(cur))]
-					del = append(del, f)
-					live := cur[:0] // the DB dedups, so retract every copy
-					for _, g := range cur {
-						if g.Pred != f.Pred || fmt.Sprint(g.Args) != fmt.Sprint(f.Args) {
-							live = append(live, g)
-						}
-					}
-					cur = live
-				} else {
-					f := randFact()
-					ins = append(ins, f)
-					cur = append(cur, f)
-				}
-				if _, err := ApplyDelta(p, inc, ins, del); err != nil {
-					t.Fatalf("prog %d engine=%s step %d: %v", pi, eng, step, err)
-				}
-				want, err := Eval(p, edbFromFacts(cur))
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameFacts(t, inc, want, fmt.Sprintf("prog %d engine=%s step %d ins=%v del=%v", pi, eng, step, ins, del))
-			}
+			sameFacts(t, inc, want, fmt.Sprintf("prog %d step %d ins=%v del=%v", pi, step, ins, del))
 		}
 	}
 }

@@ -48,7 +48,7 @@ func Eval(p *Program, edb *DB) (*DB, error) {
 }
 
 // EvalCtx is Eval with cancellation support: the stratum loop, each
-// semi-naive round and the join recursion itself (every 1024 extension
+// semi-naive round and every rule's join plan (every 1024 operator
 // steps) check ctx, so evaluation of a large program stops promptly
 // after cancellation or a deadline. A context error is returned wrapped
 // in a *stage.Error tagged stage.Eval.
@@ -67,7 +67,6 @@ func EvalCtx(ctx context.Context, p *Program, edb *DB) (*DB, error) {
 		return nil, err
 	}
 	cfg := evalConfig{
-		streaming: CurrentEngine() == EngineStreaming,
 		budget:    stage.BudgetFrom(ctx),
 		collector: statsCollectorFrom(ctx),
 	}
@@ -93,10 +92,8 @@ func EvalCtx(ctx context.Context, p *Program, edb *DB) (*DB, error) {
 }
 
 // evalConfig is the per-run evaluation setup, captured once at EvalCtx
-// entry: the engine choice (a concurrent SetEngine never splits a run),
-// the stream-tuples budget, and the stats collector.
+// entry: the stream-tuples budget and the stats collector.
 type evalConfig struct {
-	streaming bool
 	budget    *stage.Budget
 	collector *StatsCollector
 }
@@ -286,18 +283,11 @@ func evalStratum(ctx context.Context, rules []Rule, inStratum map[string]bool, d
 		if c := compiled[ri][occ+1]; c != nil {
 			return c, nil
 		}
-		c := compileRule(rules[ri], db)
-		c.ctx = ctx
-		c.budget = cfg.budget
-		c.collector = cfg.collector
-		if cfg.streaming {
-			c.streaming = true
-			plan, err := buildPlan(c, occ)
-			if err != nil {
-				return nil, err
-			}
-			c.plan = plan
+		c, err := compilePlanned(rules[ri], db, occ, cfg)
+		if err != nil {
+			return nil, err
 		}
+		c.ctx = ctx
 		compiled[ri][occ+1] = c
 		return c, nil
 	}
@@ -401,23 +391,14 @@ func runStratumRound(ctx context.Context, tasks []stratumTask, delta map[string]
 	if workers <= 1 || workSize < parallelThreshold {
 		for _, t := range tasks {
 			rel, nd := sink(t)
-			var err error
-			if t.prog.streaming {
-				// Streamed rows are reused operator buffers: the relation
-				// copies only genuinely new tuples, so the serial path
-				// holds O(1) rows in flight per rule.
-				err = evalTask(t, func(row []int) {
-					if stored, added := rel.insertRow(row); added {
-						nd.appendShared(stored)
-					}
-				})
-			} else {
-				err = evalTask(t, func(tuple []int) {
-					if rel.insertOwned(tuple) {
-						nd.appendShared(tuple)
-					}
-				})
-			}
+			// Streamed rows are reused operator buffers: the relation
+			// copies only genuinely new tuples, so the serial path holds
+			// O(1) rows in flight per rule.
+			err := evalTask(t, func(row []int) {
+				if stored, added := rel.insertRow(row); added {
+					nd.appendShared(stored)
+				}
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -425,10 +406,9 @@ func runStratumRound(ctx context.Context, tasks []stratumTask, delta map[string]
 		return newDelta, nil
 	}
 	// Parallel round: each task buffers its derivations privately and the
-	// buffers merge in task order. Streaming tasks pre-filter against the
-	// (frozen, read-only) head relation so already-known facts are never
-	// buffered, and the buffers themselves are reused across rounds —
-	// together this replaces the old grow-only per-round join buffers.
+	// buffers merge in task order. Tasks pre-filter against the (frozen,
+	// read-only) head relation so already-known facts are never buffered,
+	// and the buffers themselves are reused across rounds.
 	headRels := make([]*relation, len(tasks))
 	bufs := make([][][]int, len(tasks))
 	for i, t := range tasks {
@@ -443,19 +423,12 @@ func runStratumRound(ctx context.Context, tasks []stratumTask, delta map[string]
 			defer wg.Done()
 			for i := w; i < len(tasks); i += workers {
 				i := i
-				t := tasks[i]
-				if t.prog.streaming {
-					rel := headRels[i]
-					errs[i] = evalTask(t, func(row []int) {
-						if !rel.has(row) {
-							bufs[i] = append(bufs[i], t.prog.arenaCopy(row))
-						}
-					})
-				} else {
-					errs[i] = evalTask(t, func(tuple []int) {
-						bufs[i] = append(bufs[i], tuple)
-					})
-				}
+				t, rel := tasks[i], headRels[i]
+				errs[i] = evalTask(t, func(row []int) {
+					if !rel.has(row) {
+						bufs[i] = append(bufs[i], t.prog.arenaCopy(row))
+					}
+				})
 			}
 		}(w)
 	}
@@ -465,13 +438,11 @@ func runStratumRound(ctx context.Context, tasks []stratumTask, delta map[string]
 			return nil, err
 		}
 	}
-	if len(tasks) > 0 && tasks[0].prog.streaming {
-		pending := int64(0)
-		for _, buf := range bufs {
-			pending += int64(len(buf))
-		}
-		notePeakBuffered(tasks[0].prog.collector, pending)
+	pending := int64(0)
+	for _, buf := range bufs {
+		pending += int64(len(buf))
 	}
+	notePeakBuffered(tasks[0].prog.collector, pending)
 	for i, buf := range bufs {
 		rel, nd := sink(tasks[i])
 		for _, tuple := range buf {
@@ -507,8 +478,9 @@ type cAtom struct {
 }
 
 // cRule is a rule compiled for repeated evaluation: variables mapped to
-// integer slots, atoms to cAtoms, plus all the scratch state the join
-// recursion needs. A cRule instance is single-threaded — evalStratum keeps
+// integer slots, atoms to cAtoms, its streaming plan, plus the scratch
+// state of the backtracking matcher (step) that DRed's single-witness
+// check runs. A cRule instance is single-threaded — evalStratum keeps
 // one per (rule, delta-occurrence) task so buffers warm up across rounds
 // without any sharing between parallel tasks.
 type cRule struct {
@@ -531,11 +503,13 @@ type cRule struct {
 	arena []int
 	// Streaming-engine state: the pushdown-analyzed plan (built once per
 	// instance, reused every round), budget/stats plumbing, and the
-	// parallel-round output buffer reused across rounds.
-	streaming bool
+	// parallel-round output buffer reused across rounds. An unmetered
+	// plan (the grounder's) reports to neither the stats counters nor
+	// the stream-tuples budget.
 	plan      *rulePlan
 	budget    *stage.Budget
 	collector *StatsCollector
+	unmetered bool
 	outBuf    [][]int
 }
 
@@ -591,17 +565,24 @@ func compileRule(r Rule, db *DB) *cRule {
 	}
 }
 
-// eval enumerates all satisfying assignments of the rule body and emits
-// the corresponding head tuples (freshly allocated, ownership passes to
-// emit). If deltaOcc ≥ 0, that body-atom occurrence is matched against
-// delta[pred] instead of the full relation.
-//
-// Concurrent eval calls on distinct cRule instances are read-only on the
-// DB apart from lazy index builds, which the relations synchronize
-// internally.
-func (c *cRule) eval(delta map[string]*relation, deltaOcc int, emit func([]int)) error {
+// compilePlanned compiles the rule with cfg's budget and stats plumbing
+// and builds its streaming plan for the given delta occurrence (-1: the
+// full first-pass evaluation).
+func compilePlanned(r Rule, db *DB, deltaOcc int, cfg evalConfig) (*cRule, error) {
+	c := compileRule(r, db)
+	c.budget, c.collector = cfg.budget, cfg.collector
+	plan, err := buildPlan(c, deltaOcc)
+	if err != nil {
+		return nil, err
+	}
+	c.plan = plan
+	return c, nil
+}
+
+// bind resolves every body atom's relation for one evaluation: the
+// delta occurrence reads delta[pred], every other atom the database.
+func (c *cRule) bind(delta map[string]*relation, deltaOcc int) {
 	c.deltaOcc = deltaOcc
-	c.emit = emit
 	for i := range c.body {
 		a := &c.body[i]
 		if a.builtin {
@@ -613,10 +594,6 @@ func (c *cRule) eval(delta map[string]*relation, deltaOcc int, emit func([]int))
 			a.rel = c.db.rels[a.pred]
 		}
 	}
-	if c.streaming {
-		return c.evalStream(emit)
-	}
-	return c.step(0)
 }
 
 // arenaCopy copies a borrowed row into an arena-carved tuple the caller
@@ -669,7 +646,10 @@ func (c *cRule) groundArgs(a *cAtom) []int {
 	return a.ground
 }
 
-// step extends the current partial assignment by one body atom. Every
+// step is the backtracking matcher: it extends the current partial
+// assignment by one body atom and calls c.emit once per complete one.
+// DRed's single-witness check (derives) runs on it, and so does the
+// naive reference evaluator the tests compare the engine against. Every
 // 1024 extension steps it polls the context, so even a single huge join
 // stops promptly after cancellation.
 func (c *cRule) step(done int) error {
@@ -797,12 +777,4 @@ func (c *cRule) step(done int) error {
 	}
 	c.processed[pick] = false
 	return nil
-}
-
-// evalRule compiles the rule and evaluates it once; the incremental path
-// in evalStratum keeps compiled instances alive across rounds instead.
-// Retained for one-shot callers (the naive reference evaluator, tests).
-func evalRule(r Rule, db *DB, delta map[string]*relation, deltaOcc int, emit func(string, []int)) error {
-	c := compileRule(r, db)
-	return c.eval(delta, deltaOcc, func(tuple []int) { emit(r.Head.Pred, tuple) })
 }

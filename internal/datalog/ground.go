@@ -207,17 +207,16 @@ func (g *GroundProgram) Size() int { return g.Horn.Size() }
 // Ground instantiates a quasi-guarded, semipositive program over the
 // database (Theorem 4.4): for each rule, the quasi-guard is instantiated
 // against the EDB and the remaining variables follow by functional
-// dependence; fully bound extensional literals are evaluated immediately
-// and intensional literals become propositional variables. The result has
+// dependence; extensional literals are evaluated during the join and
+// intensional literals become propositional variables. The result has
 // size O(|P|·|A|).
 func Ground(p *Program, edb *DB, fds []FuncDep) (*GroundProgram, error) {
 	return GroundCtx(context.Background(), p, edb, fds)
 }
 
 // GroundCtx is Ground with cancellation support: the per-rule loop and
-// the instantiation recursion (every 1024 extension steps) poll ctx.
-// A context error is returned wrapped in a *stage.Error tagged
-// stage.Eval.
+// each rule's join plan (every 1024 operator steps) poll ctx. A context
+// error is returned wrapped in a *stage.Error tagged stage.Eval.
 func GroundCtx(ctx context.Context, p *Program, edb *DB, fds []FuncDep) (*GroundProgram, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -241,192 +240,63 @@ func GroundCtx(ctx context.Context, p *Program, edb *DB, fds []FuncDep) (*Ground
 		if err := faultinject.Check("datalog.ground-rule"); err != nil {
 			return nil, stage.Wrap(stage.Eval, err)
 		}
-		if err := groundRule(ctx, g, r, edb, intens); err != nil {
+		if err := g.instantiate(ctx, r, intens); err != nil {
 			return nil, err
 		}
 	}
 	return g, nil
 }
 
-// groundRule enumerates all EDB-consistent ground instances of the rule
-// and emits Horn clauses over ground intensional atoms.
-func groundRule(ctx context.Context, g *GroundProgram, r Rule, edb *DB, intens map[string]bool) error {
-	binding := map[string]int{}
-	processed := make([]bool, len(r.Body))
-	matchBufs := make([][][]int, len(r.Body))
-	var bodyLits []int
-	var tick uint
-
-	atomBound := func(a Atom) bool {
-		for _, t := range a.Args {
-			if t.IsVar() {
-				if _, ok := binding[t.Var]; !ok {
-					return false
-				}
+// instantiate emits one Horn clause per EDB-consistent instance of the
+// rule. The instances stream out of the rule engine's join plan over the
+// rule's extensional literals — positive atoms as scans and lookup
+// joins, negated atoms and builtins as filters — projected to the
+// arguments of the head followed by those of each intensional body
+// atom, which are then interned as propositional variables. The plan is
+// unmetered: grounding is charged to MaxGroundAtoms, not to the
+// stream-tuples budget or the engine counters.
+func (g *GroundProgram) instantiate(ctx context.Context, r Rule, intens map[string]bool) error {
+	ext := Rule{Head: Atom{Pred: r.Head.Pred, Args: append([]Term(nil), r.Head.Args...)}}
+	var idb []Atom
+	for _, a := range r.Body {
+		if intens[a.Pred] {
+			idb = append(idb, a)
+			ext.Head.Args = append(ext.Head.Args, a.Args...)
+			continue
+		}
+		if !a.Negated && !IsBuiltin(a.Pred) {
+			if rel := g.db.rels[a.Pred]; rel == nil || len(rel.tuples) == 0 {
+				return nil // an empty positive relation admits no instance
 			}
 		}
-		return true
+		ext.Body = append(ext.Body, a)
 	}
-	groundArgs := func(a Atom) []int {
-		args := make([]int, len(a.Args))
-		for i, t := range a.Args {
-			if t.IsVar() {
-				args[i] = binding[t.Var]
-			} else {
-				args[i] = edb.Intern(t.Const)
-			}
-		}
-		return args
+	c := compileRule(ext, g.db)
+	c.ctx, c.unmetered = ctx, true
+	plan, err := buildPlan(c, -1)
+	if err != nil {
+		return err
 	}
-
-	var step func(done int) error
-	step = func(done int) error {
-		if tick++; tick&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return stage.Wrap(stage.Eval, err)
-			}
+	c.plan = plan
+	lits := make([]int, len(idb))
+	err = c.eval(nil, -1, func(row []int) {
+		if g.budgetErr != nil {
+			return // over budget: drain the stream without interning
 		}
-		if done == len(r.Body) {
-			head := g.atomID(r.Head.Pred, groundArgs(r.Head))
-			if g.budgetErr != nil {
-				return g.budgetErr
-			}
-			g.Horn.AddClause(head, bodyLits...)
-			return nil
+		n := len(r.Head.Args)
+		head := g.atomID(r.Head.Pred, row[:n])
+		for i, a := range idb {
+			lits[i] = g.atomID(a.Pred, row[n:n+len(a.Args)])
+			n += len(a.Args)
 		}
-		// Fully bound atoms first: extensional ones are filters,
-		// intensional ones become literals.
-		for i, a := range r.Body {
-			if processed[i] || !atomBound(a) {
-				continue
-			}
-			args := groundArgs(a)
-			var keep func() error
-			switch {
-			case IsBuiltin(a.Pred):
-				names := make([]string, len(args))
-				for j, id := range args {
-					names[j] = edb.ConstName(id)
-				}
-				holds, err := callBuiltin(a.Pred, names)
-				if err != nil {
-					return err
-				}
-				if a.Negated {
-					holds = !holds
-				}
-				if !holds {
-					return nil
-				}
-				keep = func() error { return nil }
-			case intens[a.Pred]:
-				lit := g.atomID(a.Pred, args)
-				if g.budgetErr != nil {
-					return g.budgetErr
-				}
-				bodyLits = append(bodyLits, lit)
-				keep = func() error {
-					bodyLits = bodyLits[:len(bodyLits)-1]
-					return nil
-				}
-			default:
-				rel, ok := edb.rels[a.Pred]
-				holds := ok && rel.has(args)
-				if a.Negated {
-					holds = !holds
-				}
-				if !holds {
-					return nil
-				}
-				keep = func() error { return nil }
-			}
-			processed[i] = true
-			err := step(done + 1)
-			processed[i] = false
-			if kerr := keep(); kerr != nil {
-				return kerr
-			}
-			return err
+		if g.budgetErr == nil {
+			g.Horn.AddClause(head, lits...)
 		}
-		// Otherwise join on the next positive extensional atom, preferring
-		// one that shares a bound variable (functional dependence makes
-		// these near-unique lookups in quasi-guarded programs).
-		next := -1
-		for i, a := range r.Body {
-			if processed[i] || a.Negated || IsBuiltin(a.Pred) || intens[a.Pred] {
-				continue
-			}
-			if next < 0 {
-				next = i
-			}
-			sharesBound := false
-			for _, t := range a.Args {
-				if t.IsVar() {
-					if _, ok := binding[t.Var]; ok {
-						sharesBound = true
-						break
-					}
-				}
-			}
-			if sharesBound {
-				next = i
-				break
-			}
-		}
-		if next < 0 {
-			// Only unbound intensional atoms remain; impossible for
-			// validated quasi-guarded programs.
-			return fmt.Errorf("datalog: cannot ground rule %s: intensional atom with unbound variables", r)
-		}
-		a := r.Body[next]
-		rel := edb.rels[a.Pred]
-		if rel == nil {
-			return nil
-		}
-		pattern := make([]int, len(a.Args))
-		for j, t := range a.Args {
-			if t.IsVar() {
-				if v, ok := binding[t.Var]; ok {
-					pattern[j] = v
-				} else {
-					pattern[j] = -1
-				}
-			} else {
-				pattern[j] = edb.Intern(t.Const)
-			}
-		}
-		processed[next] = true
-		matchBufs[next] = rel.match(pattern, matchBufs[next])
-		for _, tuple := range matchBufs[next] {
-			bound := make([]string, 0, len(a.Args))
-			ok := true
-			for j, t := range a.Args {
-				if !t.IsVar() {
-					continue
-				}
-				if v, known := binding[t.Var]; known {
-					if tuple[j] != v {
-						ok = false
-						break
-					}
-				} else {
-					binding[t.Var] = tuple[j]
-					bound = append(bound, t.Var)
-				}
-			}
-			if ok {
-				if err := step(done + 1); err != nil {
-					return err
-				}
-			}
-			for _, v := range bound {
-				delete(binding, v)
-			}
-		}
-		processed[next] = false
-		return nil
+	})
+	if err != nil {
+		return err
 	}
-	return step(0)
+	return g.budgetErr
 }
 
 // EvalQuasiGuarded evaluates a quasi-guarded semipositive program by

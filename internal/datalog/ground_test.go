@@ -251,3 +251,16 @@ func TestDBBasics(t *testing.T) {
 		t.Fatalf("FormatBindings = %q", got)
 	}
 }
+
+// TestGroundUnmetered pins the grounder's metering: it runs on the
+// engine's join plans, but leaves the engine counters untouched, since
+// the grounded path is charged to MaxGroundAtoms alone.
+func TestGroundUnmetered(t *testing.T) {
+	before := ReadEngineStats()
+	if _, err := Ground(MustParse(tdProgram), chainTD(300), TDFuncDeps(1)); err != nil {
+		t.Fatal(err)
+	}
+	if after := ReadEngineStats(); after != before {
+		t.Fatalf("grounding moved the engine counters: %+v → %+v", before, after)
+	}
+}

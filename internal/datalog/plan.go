@@ -33,8 +33,8 @@ type rulePlan struct {
 	// relation (full or delta) before each eval call.
 	binds []*boundRel
 	// groundFilters are variable-free negated/builtin atoms, hoisted
-	// out of the pipeline and checked once per eval call (matching the
-	// materialized engine, which tests them before any join work).
+	// out of the pipeline and checked once per eval call, before any
+	// join work.
 	groundFilters []*filterSpec
 	// pushdowns counts lookup joins planned with at least one probe
 	// constraint pushed into a relation index.
@@ -360,19 +360,23 @@ func buildPlan(c *cRule, deltaOcc int) (*rulePlan, error) {
 		}
 	}
 	p.root = ra.NewProject(tree, headCols, p.ctl)
-	addJoinsPushedDown(c.collector, p.pushdowns)
+	if !c.unmetered {
+		addJoinsPushedDown(c.collector, p.pushdowns)
+	}
 	return p, nil
 }
 
-// flush reports the rows streamed since the last flush to the stats
-// counters and charges them against the stream-tuples budget.
+// flush reports the rows streamed since the last flush and the peak of
+// buffered rows to the stats counters, and charges the rows against the
+// stream-tuples budget. An unmetered plan reports and charges nothing.
 func (p *rulePlan) flush(c *cRule) error {
 	d := p.ctl.Streamed - p.flushed
-	if d == 0 {
+	if d == 0 || c.unmetered {
 		return nil
 	}
 	p.flushed = p.ctl.Streamed
 	addTuplesStreamed(c.collector, d)
+	notePeakBuffered(c.collector, p.ctl.PeakBuffered)
 	if c.budget != nil {
 		if err := c.budget.AddStreamTuples(d); err != nil {
 			return stage.Wrap(stage.Eval, err)
@@ -381,10 +385,17 @@ func (p *rulePlan) flush(c *cRule) error {
 	return nil
 }
 
-// evalStream runs the rule's streaming plan: rebind the relations,
-// reset the operator tree, and pull rows into emit. Emitted rows are
-// the projection's reused buffer — sinks copy what they keep.
-func (c *cRule) evalStream(emit func([]int)) error {
+// eval runs the rule's streaming plan and emits the head tuple of every
+// satisfying assignment of the body. Rows are the projection's reused
+// buffer, so sinks copy what they keep. If deltaOcc ≥ 0, that body-atom
+// occurrence reads delta[pred] instead of the full relation; it must be
+// the occurrence the plan was built for.
+//
+// Concurrent eval calls on distinct cRule instances are read-only on the
+// DB apart from lazy index builds, which the relations synchronize
+// internally.
+func (c *cRule) eval(delta map[string]*relation, deltaOcc int, emit func([]int)) error {
+	c.bind(delta, deltaOcc)
 	p := c.plan
 	for _, b := range p.binds {
 		b.r = c.body[b.atom].rel
@@ -396,22 +407,19 @@ func (c *cRule) evalStream(emit func([]int)) error {
 		}
 	}
 	p.root.Reset()
+	var err error
 	for {
-		row, ok, err := p.root.Next()
-		if err != nil {
-			if ferr := p.flush(c); ferr != nil {
-				err = ferr
-			} else if errors.Is(err, faultinject.ErrInjected) {
-				err = stage.Wrap(stage.Eval, err)
-			}
-			notePeakBuffered(c.collector, p.ctl.PeakBuffered)
-			return err
-		}
-		if !ok {
+		var row ra.Row
+		var ok bool
+		if row, ok, err = p.root.Next(); err != nil || !ok {
 			break
 		}
 		emit(row)
 	}
-	notePeakBuffered(c.collector, p.ctl.PeakBuffered)
-	return p.flush(c)
+	if ferr := p.flush(c); ferr != nil {
+		err = ferr
+	} else if errors.Is(err, faultinject.ErrInjected) {
+		err = stage.Wrap(stage.Eval, err)
+	}
+	return err
 }

@@ -35,8 +35,8 @@ func naiveEval(p *Program, edb *DB) (*DB, error) {
 		for changed := true; changed; {
 			changed = false
 			for _, r := range rules {
-				err := evalRule(r, db, nil, -1, func(pred string, tuple []int) {
-					if db.rel(pred, len(tuple)).insertOwned(tuple) {
+				err := evalRule(r, db, func(tuple []int) {
+					if db.rel(r.Head.Pred, len(tuple)).insertOwned(tuple) {
 						changed = true
 					}
 				})
@@ -47,6 +47,17 @@ func naiveEval(p *Program, edb *DB) (*DB, error) {
 		}
 	}
 	return db, nil
+}
+
+// evalRule compiles the rule and runs it once through the backtracking
+// matcher (cRule.step), not the streaming plans the engine under test
+// uses, so the differential comparison is never circular. Emitted
+// tuples are freshly allocated.
+func evalRule(r Rule, db *DB, emit func([]int)) error {
+	c := compileRule(r, db)
+	c.bind(nil, -1)
+	c.emit = emit
+	return c.step(0)
 }
 
 // sameFacts compares two result databases predicate by predicate.
@@ -168,13 +179,11 @@ func joinRules(rules []string) string {
 }
 
 // TestDifferentialRandomPrograms is the satellite differential test: the
-// semi-naive engine — under BOTH backends, the streaming relational-
-// algebra pipeline and the materialized backtracking join — must agree
-// with the naive reference evaluator on every randomized stratified
-// program, so neither the storage/parallelism changes nor the streaming
-// rebuild can silently change semantics. The reference itself always
-// runs the materialized step() path (evalRule compiles without a plan),
-// so the three-way comparison is never circular.
+// semi-naive engine must agree with the naive reference evaluator on
+// every randomized stratified program, so neither the storage and
+// parallelism changes nor the streaming plans can silently change
+// semantics. The reference runs the backtracking matcher (evalRule
+// compiles without a plan), so the comparison is never circular.
 func TestDifferentialRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	edb := func() *DB {
@@ -188,7 +197,6 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		}
 		return db
 	}
-	defer SetEngine(SetEngine(EngineStreaming))
 	tried, run := 0, 0
 	for run < 250 && tried < 2500 {
 		tried++
@@ -199,17 +207,14 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		run++
 		db := edb()
 		want, refErr := naiveEval(p, db)
-		for _, eng := range []Engine{EngineStreaming, EngineMaterialized} {
-			SetEngine(eng)
-			got, err := Eval(p, db)
-			if (err == nil) != (refErr == nil) {
-				t.Fatalf("program %v: %s engine disagrees with reference on error: %v vs %v", p, eng, err, refErr)
-			}
-			if err != nil {
-				continue
-			}
-			sameFacts(t, got, want, fmt.Sprintf("program #%d engine=%s %v", run, eng, p))
+		got, err := Eval(p, db)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("program %v: engine disagrees with reference on error: %v vs %v", p, err, refErr)
 		}
+		if err != nil {
+			continue
+		}
+		sameFacts(t, got, want, fmt.Sprintf("program #%d %v", run, p))
 	}
 	if run < 100 {
 		t.Fatalf("generator too weak: only %d/%d candidates were valid programs", run, tried)
@@ -230,7 +235,6 @@ func TestDifferentialKnownPrograms(t *testing.T) {
 		// Constant pushdown into probes, repeated variables in one atom.
 		"loop(X) :- e(X, X).\nanchored(Y) :- e(v0, Y), not loop(Y).",
 	}
-	defer SetEngine(SetEngine(EngineStreaming))
 	for _, src := range cases {
 		p := MustParse(src)
 		db := NewDB()
@@ -247,22 +251,18 @@ func TestDifferentialKnownPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q (reference): %v", src, err)
 		}
-		for _, eng := range []Engine{EngineStreaming, EngineMaterialized} {
-			SetEngine(eng)
-			got, err := Eval(p, db)
-			if err != nil {
-				t.Fatalf("%q (%s): %v", src, eng, err)
-			}
-			sameFacts(t, got, want, fmt.Sprintf("%s: %s", eng, src))
+		got, err := Eval(p, db)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
 		}
+		sameFacts(t, got, want, src)
 	}
 }
 
-// TestParallelDeterminism checks the determinism claim for both
-// backends: the derived fact set is identical across worker counts,
-// including runs big enough to actually take the parallel path (where
-// the streaming backend pre-filters against the frozen head relation
-// and merges reused per-task buffers in task order).
+// TestParallelDeterminism checks the determinism claim: the derived fact
+// set is identical across worker counts, including runs big enough to
+// actually take the parallel path (where tasks pre-filter against the
+// frozen head relation and merge reused per-task buffers in task order).
 func TestParallelDeterminism(t *testing.T) {
 	p := MustParse("path(X, Y) :- e(X, Y).\npath(X, Z) :- path(X, Y), e(Y, Z).")
 	db := NewDB()
@@ -271,21 +271,16 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	prev := SetMaxWorkers(1)
 	defer SetMaxWorkers(prev)
-	defer SetEngine(SetEngine(EngineStreaming))
-	for _, eng := range []Engine{EngineStreaming, EngineMaterialized} {
-		SetEngine(eng)
-		SetMaxWorkers(1)
-		serial, err := Eval(p, db)
+	serial, err := Eval(p, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4, 13} {
+		SetMaxWorkers(workers)
+		out, err := Eval(p, db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 4, 13} {
-			SetMaxWorkers(workers)
-			out, err := Eval(p, db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameFacts(t, out, serial, fmt.Sprintf("engine=%s workers=%d", eng, workers))
-		}
+		sameFacts(t, out, serial, fmt.Sprintf("workers=%d", workers))
 	}
 }

@@ -31,7 +31,6 @@ func chainEDB(n int) *DB {
 // different round counts but must build exactly the same three plans
 // (two full first-pass instances plus rule 2's delta occurrence).
 func TestStreamPlanBuiltOncePerRule(t *testing.T) {
-	defer SetEngine(SetEngine(EngineStreaming))
 	p := MustParse(tcProgramSrc)
 	builds := func(n int) int64 {
 		before := PlanBuilds()
@@ -55,7 +54,6 @@ func TestStreamPlanBuiltOncePerRule(t *testing.T) {
 // promptly with a stage-tagged context error — without waiting for the
 // round, stratum, or fixpoint to finish.
 func TestStreamingCancelMidJoin(t *testing.T) {
-	defer SetEngine(SetEngine(EngineStreaming))
 	p := MustParse(tcProgramSrc)
 	db := chainEDB(3000)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
@@ -75,7 +73,6 @@ func TestStreamingCancelMidJoin(t *testing.T) {
 // reach the full fixpoint (no partial state cached across runs).
 func TestChaosStreamingJoinFault(t *testing.T) {
 	defer faultinject.Reset()
-	defer SetEngine(SetEngine(EngineStreaming))
 	p := MustParse(tcProgramSrc)
 	db := chainEDB(8)
 	faultinject.FailAt("ra.join", 2)
@@ -102,7 +99,6 @@ func TestChaosStreamingJoinFault(t *testing.T) {
 // Budget.MaxStreamTuples, and blowing the cap surfaces as a
 // stage-tagged *stage.BudgetError naming the stream-tuples dimension.
 func TestStreamTuplesBudgetExceeded(t *testing.T) {
-	defer SetEngine(SetEngine(EngineStreaming))
 	p := MustParse(tcProgramSrc)
 	db := chainEDB(150)
 	b := &stage.Budget{MaxStreamTuples: 100}
@@ -132,7 +128,6 @@ func TestStreamTuplesBudgetExceeded(t *testing.T) {
 // pushdown-planned joins, and peak buffered tuples to that collector,
 // and the process-wide counters advance by at least as much.
 func TestEngineStatsCollector(t *testing.T) {
-	defer SetEngine(SetEngine(EngineStreaming))
 	defer SetMaxWorkers(SetMaxWorkers(4)) // force the parallel buffered path
 	p := MustParse(tcProgramSrc)
 	db := chainEDB(200) // large enough to clear parallelThreshold

@@ -2,11 +2,13 @@ package session
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/mso"
+	"repro/internal/stage"
 )
 
 // TestEvalPathDirectMatchesGrounded pins the direct evaluation path:
@@ -44,6 +46,40 @@ func TestEvalPathDirectMatchesGrounded(t *testing.T) {
 		}
 		if ds := direct.Stats(); ds.TuplesStreamed == 0 {
 			t.Fatalf("query %q: direct path reported no streamed tuples", q)
+		}
+	}
+}
+
+// TestGroundedPathIgnoresStreamBudget pins the grounded path's
+// metering: grounding runs on the engine's join plans, but it is charged
+// to MaxGroundAtoms only, so a one-row stream-tuples cap neither stops a
+// grounded Session.Eval nor changes its answer. The same cap does stop
+// the direct path, which shows the cap is live.
+func TestGroundedPathIgnoresStreamBudget(t *testing.T) {
+	defer SetEvalPath(SetEvalPath(EvalGrounded))
+	rng := rand.New(rand.NewSource(13))
+	st := randColored(rng, 7)
+	capped := func() context.Context {
+		return stage.WithBudget(context.Background(), &stage.Budget{MaxStreamTuples: 1})
+	}
+	for _, q := range tenQueries {
+		phi := mso.MustParse(q)
+		SetEvalPath(EvalGrounded)
+		want, err := NewWithCache(st, NewProgramCache()).Eval(context.Background(), phi, "x", core.Options{})
+		if err != nil {
+			t.Fatalf("unbudgeted %q: %v", q, err)
+		}
+		got, err := NewWithCache(st, NewProgramCache()).Eval(capped(), phi, "x", core.Options{})
+		if err != nil {
+			t.Fatalf("grounded %q under MaxStreamTuples=1: %v", q, err)
+		}
+		if !got.Selected.Equal(want.Selected) {
+			t.Fatalf("query %q: budgeted selected %v, unbudgeted %v", q, got.Selected.Elems(), want.Selected.Elems())
+		}
+
+		SetEvalPath(EvalDirect)
+		if _, err := NewWithCache(st, NewProgramCache()).Eval(capped(), phi, "x", core.Options{}); !errors.Is(err, stage.ErrBudgetExceeded) {
+			t.Fatalf("direct %q under MaxStreamTuples=1: got %v, want a budget error", q, err)
 		}
 	}
 }

@@ -111,8 +111,10 @@ type Stats struct {
 	// TuplesStreamed, JoinsPushedDown and PeakBufferedTuples mirror the
 	// datalog streaming engine's counters for this session's evaluations
 	// (see datalog.EngineStats). The grounded evaluation path (Theorem
-	// 4.4) bypasses the rule engine, so these advance only under the
-	// direct path (SetEvalPath / monadicd -eval direct).
+	// 4.4) grounds through the engine's join plans but is metered by
+	// ground atoms alone and not charged to these counters, so they
+	// advance only under the direct path (SetEvalPath / monadicd -eval
+	// direct).
 	TuplesStreamed, JoinsPushedDown, PeakBufferedTuples int64
 }
 
@@ -126,9 +128,8 @@ const (
 	// theory.
 	EvalGrounded EvalPath = iota
 	// EvalDirect runs the compiled program straight through the datalog
-	// engine's semi-naive fixpoint — with the streaming backend, rule
-	// bodies evaluate in O(1) rows in flight instead of materializing
-	// the ground program, so structures whose grounding exceeds
+	// engine's semi-naive fixpoint — rule bodies stream with O(1) rows
+	// in flight instead of materializing the ground program, so structures whose grounding exceeds
 	// MaxGroundAtoms can still complete (metered by MaxStreamTuples).
 	EvalDirect
 )
@@ -699,9 +700,12 @@ func (s *Session) Eval(ctx context.Context, phi *mso.Formula, xVar string, opts 
 		// (ensure has already revalidated the fingerprint).
 		if entry, ok := s.results[key]; ok {
 			s.stats.ResultCacheHits++
+			// Mutate replaces the entry's fields under s.mu: read them
+			// before unlocking.
+			res, size := entry.res, entry.evalSize
 			s.mu.Unlock()
-			trace.Record(stage.Eval, 0, entry.evalSize, true)
-			return cachedResult(entry.res, trace), nil
+			trace.Record(stage.Eval, 0, size, true)
+			return cachedResult(res, trace), nil
 		}
 		if f := s.evalFlights[key]; f != nil {
 			s.mu.Unlock()
@@ -789,9 +793,12 @@ func (s *Session) evalBackend(ctx context.Context, phi *mso.Formula, xVar string
 		s.mu.Lock()
 		if entry, ok := s.results[key]; ok {
 			s.stats.ResultCacheHits++
+			// Mutate replaces the entry's fields under s.mu: read them
+			// before unlocking.
+			res, size := entry.res, entry.evalSize
 			s.mu.Unlock()
-			trace.Record(stage.Eval, 0, entry.evalSize, true)
-			return cachedResult(entry.res, trace), nil
+			trace.Record(stage.Eval, 0, size, true)
+			return cachedResult(res, trace), nil
 		}
 		if f := s.evalFlights[key]; f != nil {
 			s.mu.Unlock()
