@@ -383,6 +383,60 @@ func BenchmarkTDGrounding(b *testing.B) {
 	})
 }
 
+// BenchmarkGroundPaperRoute grounds the core-compiled width-1 c(x)
+// program, the paper route's tree workload, on random colored trees of
+// n = 60, 120 and 240 elements. Theorem 4.4 makes grounding linear in
+// the structure, so ms/elem should stay flat across sub-benchmarks; it
+// reports ms/elem and B/op and gates on neither.
+func BenchmarkGroundPaperRoute(b *testing.B) {
+	sig := structure.MustSignature(
+		structure.Predicate{Name: "c", Arity: 1},
+		structure.Predicate{Name: "e", Arity: 2})
+	compiled, err := core.Compile(sig, mso.MustParse("c(x)"), "x", core.Options{Width: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{60, 120, 240} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(n)))
+			st := structure.New(sig)
+			for i := 0; i < n; i++ {
+				st.AddElem("v" + strconv.Itoa(i))
+				if i > 0 {
+					st.MustAddTuple("e", rng.Intn(i), i)
+				}
+				if rng.Intn(2) == 0 {
+					st.MustAddTuple("c", i)
+				}
+			}
+			d, err := Decompose(st)
+			if err != nil {
+				b.Fatal(err)
+			}
+			norm, err := NormalizeTuple(d)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if w := norm.Width(); w != 1 {
+				b.Fatalf("tree decomposed at width %d", w)
+			}
+			td, _, err := BuildTD(st, norm, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			edb := datalog.FromStructure(td, "")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := datalog.Ground(compiled.Program, edb.Clone(), datalog.TDFuncDeps(1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N)/float64(n), "ms/elem")
+		})
+	}
+}
+
 // BenchmarkPrimalityEval times the primality-shaped theta program (the
 // Theorem 4.5 chain workload of E2) through both engine routes, so the
 // generic semi-naive path and the quasi-guarded grounding path are

@@ -12,6 +12,7 @@ package datalog
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Term is a variable or a constant. Exactly one of Var/Const is set.
@@ -105,6 +106,13 @@ func (r Rule) String() string {
 // Program is a list of rules.
 type Program struct {
 	Rules []Rule
+	// grounding caches the program's grounding analysis (see GroundCtx);
+	// the mutex makes its first build race-free when one program is
+	// grounded concurrently.
+	grounding struct {
+		sync.Mutex
+		a *groundAnalysis
+	}
 }
 
 // Add appends a rule.

@@ -13,6 +13,10 @@ const TDProgramSrc = tdProgram
 
 var ChainTD = chainTD
 
+// GroundAnalyses reports how many grounding analyses have been built
+// since process start; tests diff it around groundings.
+func GroundAnalyses() int64 { return groundAnalyses.Load() }
+
 // CanonicalClauses renders the ground program independently of atom
 // numbering: every clause as "head :- b1, b2" with atoms printed as
 // pred(consts), bodies sorted, and the clause list sorted. Duplicate
@@ -20,15 +24,15 @@ var ChainTD = chainTD
 // are the same clause multiset.
 func CanonicalClauses(g *GroundProgram) []string {
 	name := func(id int) string {
-		a := g.atoms[id]
-		if len(a.tuple) == 0 {
-			return a.pred
+		pred, tuple := g.preds[g.atoms[id].pred], g.tuple(id)
+		if len(tuple) == 0 {
+			return pred
 		}
-		args := make([]string, len(a.tuple))
-		for i, c := range a.tuple {
+		args := make([]string, len(tuple))
+		for i, c := range tuple {
 			args[i] = g.db.ConstName(c)
 		}
-		return a.pred + "(" + strings.Join(args, ",") + ")"
+		return pred + "(" + strings.Join(args, ",") + ")"
 	}
 	out := make([]string, len(g.Horn.Clauses))
 	for i, cl := range g.Horn.Clauses {

@@ -387,9 +387,10 @@ func (p *rulePlan) flush(c *cRule) error {
 
 // eval runs the rule's streaming plan and emits the head tuple of every
 // satisfying assignment of the body. Rows are the projection's reused
-// buffer, so sinks copy what they keep. If deltaOcc ≥ 0, that body-atom
-// occurrence reads delta[pred] instead of the full relation; it must be
-// the occurrence the plan was built for.
+// buffer, so sinks copy what they keep; a sink may set c.stopped to end
+// the stream early. If deltaOcc ≥ 0, that body-atom occurrence reads
+// delta[pred] instead of the full relation; it must be the occurrence
+// the plan was built for.
 //
 // Concurrent eval calls on distinct cRule instances are read-only on the
 // DB apart from lazy index builds, which the relations synchronize
@@ -408,7 +409,7 @@ func (c *cRule) eval(delta map[string]*relation, deltaOcc int, emit func([]int))
 	}
 	p.root.Reset()
 	var err error
-	for {
+	for !c.stopped {
 		var row ra.Row
 		var ok bool
 		if row, ok, err = p.root.Next(); err != nil || !ok {

@@ -18,6 +18,9 @@ type Clause struct {
 type Program struct {
 	NumVars int
 	Clauses []Clause
+	// arena is the unused tail of the chunk clause bodies are carved
+	// from, so adding a clause does not allocate its body on its own.
+	arena []int
 }
 
 // AddClause appends a clause, growing NumVars as needed.
@@ -30,7 +33,16 @@ func (p *Program) AddClause(head int, body ...int) {
 			p.NumVars = b + 1
 		}
 	}
-	p.Clauses = append(p.Clauses, Clause{Head: head, Body: append([]int(nil), body...)})
+	var b []int
+	if n := len(body); n > 0 {
+		if len(p.arena) < n {
+			p.arena = make([]int, max(1024, n))
+		}
+		b = p.arena[:n:n]
+		p.arena = p.arena[n:]
+		copy(b, body)
+	}
+	p.Clauses = append(p.Clauses, Clause{Head: head, Body: b})
 }
 
 // Size returns the total number of literal occurrences, the |P'| of
