@@ -9,6 +9,7 @@ package monadic
 // hand-written programs stay flat.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -145,10 +146,15 @@ var sigColor = structure.MustSignature(structure.Predicate{Name: "c", Arity: 1})
 // BenchmarkGenericCompiler compiles a depth-1 query over a unary
 // signature at growing widths; the types and rules metrics grow
 // exponentially in w — the paper's argument for hand-written programs.
+// The paper-route sub-benchmarks compile over the benchmark's tree
+// signature {e/2, c/1} at width 1 under the default options: the rank-0
+// query c(x), and the rank-1 query that outgrows the type limit, whose
+// cost is that of the failed attempt.
 func BenchmarkGenericCompiler(b *testing.B) {
 	phi := mso.MustParse("c(x) & exists y ~c(y)")
 	for _, w := range []int{0, 1, 2} {
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
 			var compiled *core.Compiled
 			var err error
 			for i := 0; i < b.N; i++ {
@@ -161,6 +167,25 @@ func BenchmarkGenericCompiler(b *testing.B) {
 			b.ReportMetric(float64(len(compiled.Program.Rules)), "rules")
 		})
 	}
+	sigTree := structure.MustSignature(structure.Predicate{Name: "e", Arity: 2}, structure.Predicate{Name: "c", Arity: 1})
+	b.Run("paper-route/rank0/w=1", func(b *testing.B) {
+		b.ReportAllocs()
+		phi := mso.MustParse("c(x)")
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Compile(sigTree, phi, "x", core.Options{Width: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("paper-route/defect/w=1", func(b *testing.B) {
+		b.ReportAllocs()
+		phi := mso.MustParse("c(x) & exists y (e(x,y) & ~c(y))")
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Compile(sigTree, phi, "x", core.Options{Width: 1}); !errors.Is(err, core.ErrCompileLimit) {
+				b.Fatalf("err = %v, want core.ErrCompileLimit", err)
+			}
+		}
+	})
 }
 
 // ---- E4: PRIMALITY enumeration — linear vs quadratic ----

@@ -21,6 +21,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -83,6 +84,25 @@ func (o Options) withDefaults(phi *mso.Formula) Options {
 	return o
 }
 
+// ErrCompileLimit is the sentinel under every failure of Compile caused
+// by one of its size limits: MaxTypes, MaxWitnessDomain or
+// MaxEDBSubsets. Test with errors.Is; the error text names the limit.
+// Such a failure is the construction outgrowing its bounds, not a wrong
+// input, so another evaluation route may still answer the query.
+var ErrCompileLimit = errors.New("core: compile limit exceeded")
+
+// compileLimitError carries a limit failure's message and unwraps to
+// ErrCompileLimit without adding the sentinel's text to it.
+type compileLimitError struct{ msg string }
+
+func (e *compileLimitError) Error() string { return e.msg }
+
+func (e *compileLimitError) Unwrap() error { return ErrCompileLimit }
+
+func compileLimitf(format string, args ...any) error {
+	return &compileLimitError{msg: fmt.Sprintf(format, args...)}
+}
+
 // Compiled is the result of Compile.
 type Compiled struct {
 	// Program is the quasi-guarded monadic datalog program over τ_td.
@@ -108,6 +128,10 @@ type witness struct {
 type typeRec struct {
 	name string
 	wit  witness
+	// mask has bit i set iff c.atoms[i] holds on the witness's bag.
+	// Equal types have equal masks: a rank-k type includes the atomic
+	// type of the bag, which is exactly this set of atoms.
+	mask uint64
 }
 
 type compiler struct {
@@ -119,10 +143,16 @@ type compiler struct {
 	comp  *msotype.Computer
 	rules map[string]bool
 	prog  *datalog.Program
+	// atoms is R(ā), the prototype atoms over bag positions.
+	atoms []bagAtom
 
-	up, down     []*typeRec
-	upIDs        map[msotype.TypeID]*typeRec
-	downIDs      map[msotype.TypeID]*typeRec
+	up, down []*typeRec
+	upIDs    map[msotype.TypeID]*typeRec
+	downIDs  map[msotype.TypeID]*typeRec
+	// upByMask and downByMask bucket the types by bag mask, each bucket
+	// in registration order: a branch pairs only types with equal masks.
+	upByMask     map[uint64][]*typeRec
+	downByMask   map[uint64][]*typeRec
 	freshCounter int
 }
 
@@ -171,17 +201,20 @@ func compileAutomatonCtx(ctx context.Context, sig *structure.Signature, phi *mso
 	mc.MaxDomain = opts.MaxWitnessDomain
 	mc.Budget = stage.BudgetFrom(ctx)
 	c := &compiler{
-		ctx:     ctx,
-		sig:     sig,
-		phi:     phi,
-		xVar:    xVar,
-		opts:    opts,
-		comp:    mc,
-		rules:   map[string]bool{},
-		prog:    &datalog.Program{},
-		upIDs:   map[msotype.TypeID]*typeRec{},
-		downIDs: map[msotype.TypeID]*typeRec{},
+		ctx:        ctx,
+		sig:        sig,
+		phi:        phi,
+		xVar:       xVar,
+		opts:       opts,
+		comp:       mc,
+		rules:      map[string]bool{},
+		prog:       &datalog.Program{},
+		upIDs:      map[msotype.TypeID]*typeRec{},
+		downIDs:    map[msotype.TypeID]*typeRec{},
+		upByMask:   map[uint64][]*typeRec{},
+		downByMask: map[uint64][]*typeRec{},
 	}
+	c.atoms = c.allBagAtoms()
 	if err := c.saturate(true); err != nil {
 		return nil, err
 	}
@@ -224,15 +257,17 @@ func (c *compiler) registerType(up bool, wit witness) (*typeRec, bool, error) {
 		return rec, false, nil
 	}
 	if len(c.up)+len(c.down) >= c.opts.MaxTypes {
-		return nil, false, fmt.Errorf("core: type limit %d exceeded (reduce k or w, or raise MaxTypes)", c.opts.MaxTypes)
+		return nil, false, compileLimitf("core: type limit %d exceeded (reduce k or w, or raise MaxTypes)", c.opts.MaxTypes)
 	}
-	rec := &typeRec{wit: wit}
+	rec := &typeRec{wit: wit, mask: c.bagMask(wit)}
 	if up {
 		rec.name = fmt.Sprintf("%s%d", prefix, len(c.up))
 		c.up = append(c.up, rec)
+		c.upByMask[rec.mask] = append(c.upByMask[rec.mask], rec)
 	} else {
 		rec.name = fmt.Sprintf("%s%d", prefix, len(c.down))
 		c.down = append(c.down, rec)
+		c.downByMask[rec.mask] = append(c.downByMask[rec.mask], rec)
 	}
 	ids[id] = rec
 	return rec, true, nil
@@ -252,20 +287,22 @@ func (c *compiler) addRule(r datalog.Rule) {
 // bagAtom is a prototype ground atom over bag positions.
 type bagAtom struct {
 	pred string
+	pi   int   // index of pred in the signature
 	pos  []int // positions into the bag, 0..w
 }
 
 // allBagAtoms enumerates R(ā): every predicate applied to every
-// combination of bag positions.
+// combination of bag positions. The compiler computes it once, as
+// c.atoms.
 func (c *compiler) allBagAtoms() []bagAtom {
 	w := c.opts.Width
 	var out []bagAtom
-	for _, p := range c.sig.Predicates() {
+	for pi, p := range c.sig.Predicates() {
 		idx := make([]int, p.Arity)
 		var rec func(d int)
 		rec = func(d int) {
 			if d == p.Arity {
-				out = append(out, bagAtom{pred: p.Name, pos: append([]int(nil), idx...)})
+				out = append(out, bagAtom{pred: p.Name, pi: pi, pos: append([]int(nil), idx...)})
 				return
 			}
 			for i := 0; i <= w; i++ {
@@ -278,13 +315,22 @@ func (c *compiler) allBagAtoms() []bagAtom {
 	return out
 }
 
-// holdsOn reports whether the prototype atom holds in st on the tuple bag.
-func holdsOn(st *structure.Structure, bag []int, a bagAtom) bool {
-	args := make([]int, len(a.pos))
-	for i, p := range a.pos {
-		args[i] = bag[p]
+// bagMask returns the set of c.atoms that hold on the witness's bag as
+// a bitmask. baseWitnesses, which runs before any type is registered,
+// caps |R(ā)| at 30, so the mask fits.
+func (c *compiler) bagMask(wit witness) uint64 {
+	var mask uint64
+	var args []int
+	for i, a := range c.atoms {
+		args = args[:0]
+		for _, p := range a.pos {
+			args = append(args, wit.bag[p])
+		}
+		if wit.st.HasIdx(a.pi, args) {
+			mask |= 1 << uint(i)
+		}
 	}
-	return st.Has(a.pred, args...)
+	return mask
 }
 
 // literalFor renders the prototype atom as a datalog literal over the
@@ -301,7 +347,21 @@ func literalFor(a bagAtom, neg bool) datalog.Atom {
 	return at
 }
 
-func xVarName(i int) string { return fmt.Sprintf("X%d", i) }
+// xVarNames caches the bag variable names X0, X1, … of the widths the
+// compiler handles in practice; rule construction asks for them often.
+var xVarNames = func() (names [16]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("X%d", i)
+	}
+	return names
+}()
+
+func xVarName(i int) string {
+	if i < len(xVarNames) {
+		return xVarNames[i]
+	}
+	return fmt.Sprintf("X%d", i)
+}
 
 func bagVars(w int) []datalog.Term {
 	out := make([]datalog.Term, w+1)
@@ -317,11 +377,11 @@ func bagAtomOf(node string, vars []datalog.Term) datalog.Atom {
 }
 
 // edbLiterals renders the full positive/negative description of the bag's
-// atoms as they hold in st.
-func (c *compiler) edbLiterals(st *structure.Structure, bag []int) []datalog.Atom {
-	var out []datalog.Atom
-	for _, a := range c.allBagAtoms() {
-		out = append(out, literalFor(a, !holdsOn(st, bag, a)))
+// atoms given by a bag mask.
+func (c *compiler) edbLiterals(mask uint64) []datalog.Atom {
+	out := make([]datalog.Atom, len(c.atoms))
+	for i, a := range c.atoms {
+		out[i] = literalFor(a, mask&(1<<uint(i)) == 0)
 	}
 	return out
 }
@@ -337,9 +397,9 @@ func (c *compiler) freshElemName() string {
 // subset of R(ā) as the EDB (the BASE CASE of both constructions).
 func (c *compiler) baseWitnesses() ([]witness, error) {
 	w := c.opts.Width
-	atoms := c.allBagAtoms()
+	atoms := c.atoms
 	if len(atoms) > 30 || 1<<uint(len(atoms)) > c.opts.MaxEDBSubsets {
-		return nil, fmt.Errorf("core: |R(ā)| = %d atoms gives too many EDB subsets (limit %d)", len(atoms), c.opts.MaxEDBSubsets)
+		return nil, compileLimitf("core: |R(ā)| = %d atoms gives too many EDB subsets (limit %d)", len(atoms), c.opts.MaxEDBSubsets)
 	}
 	var out []witness
 	for mask := 0; mask < 1<<uint(len(atoms)); mask++ {
@@ -379,11 +439,11 @@ func (c *compiler) baseWitnesses() ([]witness, error) {
 // involving it (the element replacement INDUCTION STEP).
 func (c *compiler) replacementExtensions(wit witness) ([]witness, error) {
 	if wit.st.Size()+1 > c.opts.MaxWitnessDomain {
-		return nil, fmt.Errorf("core: witness domain would exceed %d elements; raise MaxWitnessDomain or reduce k/w", c.opts.MaxWitnessDomain)
+		return nil, compileLimitf("core: witness domain would exceed %d elements; raise MaxWitnessDomain or reduce k/w", c.opts.MaxWitnessDomain)
 	}
 	// Atoms involving position 0.
 	var newAtoms []bagAtom
-	for _, a := range c.allBagAtoms() {
+	for _, a := range c.atoms {
 		for _, p := range a.pos {
 			if p == 0 {
 				newAtoms = append(newAtoms, a)
@@ -392,7 +452,7 @@ func (c *compiler) replacementExtensions(wit witness) ([]witness, error) {
 		}
 	}
 	if 1<<uint(len(newAtoms)) > c.opts.MaxEDBSubsets {
-		return nil, fmt.Errorf("core: %d replacement atoms gives too many subsets", len(newAtoms))
+		return nil, compileLimitf("core: %d replacement atoms gives too many subsets", len(newAtoms))
 	}
 	var out []witness
 	for mask := 0; mask < 1<<uint(len(newAtoms)); mask++ {
@@ -421,23 +481,12 @@ func (c *compiler) replacementExtensions(wit witness) ([]witness, error) {
 	return out, nil
 }
 
-// bagCompatible reports whether two witnesses agree on all atoms over
-// their bags (the "EDBs are consistent" check of the construction).
-func (c *compiler) bagCompatible(w1, w2 witness) bool {
-	for _, a := range c.allBagAtoms() {
-		if holdsOn(w1.st, w1.bag, a) != holdsOn(w2.st, w2.bag, a) {
-			return false
-		}
-	}
-	return true
-}
-
 // merge identifies the bag of w2 with the bag of w1 (the renaming δ) and
 // unions the structures; all non-bag elements of w2 become fresh.
 func (c *compiler) merge(w1, w2 witness) (witness, error) {
 	extra := w2.st.Size() - len(w2.bag)
 	if w1.st.Size()+extra > c.opts.MaxWitnessDomain {
-		return witness{}, fmt.Errorf("core: merged witness would exceed %d elements; raise MaxWitnessDomain or reduce k/w", c.opts.MaxWitnessDomain)
+		return witness{}, compileLimitf("core: merged witness would exceed %d elements; raise MaxWitnessDomain or reduce k/w", c.opts.MaxWitnessDomain)
 	}
 	st := w1.st.Clone()
 	mapping := make(map[int]int, w2.st.Size())

@@ -32,7 +32,9 @@ func (c *compiler) saturate(up bool) error {
 			bagAtomOf("V", bagVars(w)),
 			datalog.NewAtom(marker, datalog.V("V")),
 		}
-		body = append(body, c.edbLiterals(wit.st, wit.bag)...)
+		// rec may be a type registered from another witness; equal
+		// types agree on the bag's atoms, so its mask describes wit.
+		body = append(body, c.edbLiterals(rec.mask)...)
 		c.addRule(datalog.Rule{Head: datalog.NewAtom(rec.name, datalog.V("V")), Body: body})
 	}
 
@@ -56,23 +58,26 @@ func (c *compiler) saturate(up bool) error {
 			return err
 		}
 		if up {
-			// Pair with every already-processed type and itself, in both
-			// orders; later types pair with rec when they are processed.
-			for other := 0; other <= processed; other++ {
-				o := c.up[other]
+			// Pair with every already-processed type of the same bag
+			// mask and itself, in both orders; later types pair with rec
+			// when they are processed. The bucket lists types in
+			// registration order and contains rec, so the loop visits
+			// exactly the compatible types up to rec, in ascending order.
+			for _, o := range c.upByMask[rec.mask] {
 				if err := c.extendBranchUp(rec, o); err != nil {
 					return err
 				}
-				if o != rec {
-					if err := c.extendBranchUp(o, rec); err != nil {
-						return err
-					}
+				if o == rec {
+					break
+				}
+				if err := c.extendBranchUp(o, rec); err != nil {
+					return err
 				}
 			}
 		} else {
-			// Θ↓ branch combines a Θ↓ type with a Θ↑ type (both orders of
-			// the children are emitted inside).
-			for _, u := range c.up {
+			// Θ↓ branch combines a Θ↓ type with a compatible Θ↑ type
+			// (both orders of the children are emitted inside).
+			for _, u := range c.upByMask[rec.mask] {
 				if err := c.extendBranchDown(rec, u); err != nil {
 					return err
 				}
@@ -153,18 +158,16 @@ func (c *compiler) extendReplacements(up bool, rec *typeRec) error {
 			// structure with a spurious extra element.
 			datalog.NewAtom("neq", datalog.V(xVarName(0)), datalog.V("Y0")),
 		}
-		body = append(body, c.edbLiterals(ext.st, ext.bag)...)
+		body = append(body, c.edbLiterals(nrec.mask)...)
 		c.addRule(datalog.Rule{Head: datalog.NewAtom(nrec.name, datalog.V("V")), Body: body})
 	}
 	return nil
 }
 
 // extendBranchUp applies the branch node extension of Θ↑ (case (c)) for
-// the ordered pair (first child ϑ1, second child ϑ2).
+// the ordered pair (first child ϑ1, second child ϑ2) of types with equal
+// bag masks (the "EDBs are consistent" condition of the construction).
 func (c *compiler) extendBranchUp(t1, t2 *typeRec) error {
-	if !c.bagCompatible(t1.wit, t2.wit) {
-		return nil
-	}
 	merged, err := c.merge(t1.wit, t2.wit)
 	if err != nil {
 		return err
@@ -191,11 +194,9 @@ func (c *compiler) extendBranchUp(t1, t2 *typeRec) error {
 
 // extendBranchDown applies the branch node extension of Θ↓: a new leaf s1
 // attached beside the subtree of an Θ↑ type, below an Θ↓ node (case (c)
-// of the top-down construction; both child orders are emitted).
+// of the top-down construction; both child orders are emitted). d and u
+// have equal bag masks.
 func (c *compiler) extendBranchDown(d *typeRec, u *typeRec) error {
-	if !c.bagCompatible(d.wit, u.wit) {
-		return nil
-	}
 	merged, err := c.merge(d.wit, u.wit)
 	if err != nil {
 		return err
@@ -275,10 +276,7 @@ func (c *compiler) emitSelection() error {
 		if err := c.ctx.Err(); err != nil {
 			return stage.Wrap(stage.Compile, err)
 		}
-		for _, d := range c.down {
-			if !c.bagCompatible(u.wit, d.wit) {
-				continue
-			}
+		for _, d := range c.downByMask[u.mask] {
 			merged, err := c.merge(u.wit, d.wit)
 			if err != nil {
 				return err

@@ -17,15 +17,26 @@
 // (k-1)-types, which is exactly equality of the reachable-type sets.
 // Types are interned so equality is integer comparison — they serve as the
 // "tokens ϑ" of Theorem 4.5's construction.
+//
+// Representation. A type's key is a byte string: the rank, the atomic
+// part as a canonical list of the facts that hold (equal positions,
+// relation atoms over positions, set memberships of positions), and for
+// rank ≥ 1 the sorted IDs of the point-move and set-move types. Each Type
+// call indexes the witness's relations once by packed-integer tuple keys,
+// the atomic part is read from that index, and keys are built in one
+// reused buffer, so looking up a known type allocates nothing. At rank 1
+// the set moves range over the subsets of the tuple's distinct elements
+// instead of all of dom(A): a rank-0 type sees a set only through which
+// tuple elements it contains, so both enumerations reach the same keys.
 package msotype
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strconv"
-	"strings"
 
-	"repro/internal/bitset"
 	"repro/internal/stage"
 	"repro/internal/structure"
 )
@@ -35,7 +46,7 @@ import (
 type TypeID int
 
 // Computer computes and interns rank-k types. The zero value is not
-// usable; use NewComputer.
+// usable; use NewComputer. A Computer is not safe for concurrent use.
 type Computer struct {
 	ids map[string]TypeID
 	// MaxDomain bounds the domain size of structures whose types may be
@@ -49,7 +60,26 @@ type Computer struct {
 	Budget *stage.Budget
 
 	err error // sticky budget violation
+
+	// Scratch reused across Type calls.
+	key    []byte     // the key being built
+	rels   [][]uint64 // rels[p]: sorted packed tuples of predicate p
+	arity  []int      // arity[p]
+	radix  uint64     // domain size of the indexed structure
+	pos    []int      // position vector of the atom being probed
+	points [][]TypeID // points[k]: point-move types of a rank-k position
+	sets   [][]TypeID // sets[k]: set-move types of a rank-k position
 }
+
+// Key tags. Every fact of the atomic part starts with one, followed by a
+// fixed number of uvarints, so a key parses unambiguously.
+const (
+	tagEq     = 'e' // positions i < j hold equal elements: i, j
+	tagRel    = 'r' // predicate p holds at positions: p, then arity(p) positions
+	tagMember = 'm' // set s contains the element at position i: s, i
+	tagPoints = 'p' // point-move types: count, then the sorted IDs
+	tagSets   = 's' // set-move types: count, then the sorted IDs
+)
 
 // DefaultMaxDomain is the default bound on witness-structure domains.
 const DefaultMaxDomain = 14
@@ -59,8 +89,11 @@ func NewComputer() *Computer {
 	return &Computer{ids: map[string]TypeID{}, MaxDomain: DefaultMaxDomain}
 }
 
-func (c *Computer) intern(key string) TypeID {
-	if id, ok := c.ids[key]; ok {
+// intern returns the ID of the key in c.key, charging the budget for a
+// new one. The lookup converts c.key without copying; only a new key is
+// copied into the map.
+func (c *Computer) intern() TypeID {
+	if id, ok := c.ids[string(c.key)]; ok {
 		return id
 	}
 	if cerr := c.Budget.AddStates(1); cerr != nil {
@@ -68,7 +101,7 @@ func (c *Computer) intern(key string) TypeID {
 		return 0
 	}
 	id := TypeID(len(c.ids))
-	c.ids[key] = id
+	c.ids[string(c.key)] = id
 	return id
 }
 
@@ -90,7 +123,14 @@ func (c *Computer) Type(st *structure.Structure, tuple []int, k int) (TypeID, er
 	if c.err != nil {
 		return 0, c.err
 	}
-	e := &env{st: st, tuple: append([]int(nil), tuple...)}
+	if err := c.index(st); err != nil {
+		return 0, err
+	}
+	for len(c.points) <= k {
+		c.points = append(c.points, nil)
+		c.sets = append(c.sets, nil)
+	}
+	e := &env{tuple: append(make([]int, 0, len(tuple)+k), tuple...)}
 	id := c.typeOf(e, k)
 	if c.err != nil {
 		return 0, c.err
@@ -111,12 +151,58 @@ func (c *Computer) Equivalent(stA *structure.Structure, tupleA []int, stB *struc
 	return ta == tb, nil
 }
 
-// env is the game position: a structure, the point-move history appended
-// to the distinguished tuple, and the set-move history.
+// index loads st's relations into c.rels, each tuple packed as the
+// base-|dom| number Σ t_i·|dom|^i, sorted for binary search.
+func (c *Computer) index(st *structure.Structure) error {
+	preds := st.Sig().Predicates()
+	c.radix = uint64(st.Size())
+	for len(c.rels) < len(preds) {
+		c.rels = append(c.rels, nil)
+	}
+	c.rels, c.arity = c.rels[:len(preds)], c.arity[:0]
+	for pi, p := range preds {
+		if !packable(c.radix, p.Arity) {
+			return fmt.Errorf("msotype: predicate %s of arity %d over %d elements exceeds the packed tuple-key limit", p.Name, p.Arity, c.radix)
+		}
+		c.arity = append(c.arity, p.Arity)
+		r := c.rels[pi][:0]
+		for _, t := range st.TuplesIdx(pi) {
+			r = append(r, c.pack(t))
+		}
+		slices.Sort(r)
+		c.rels[pi] = r
+	}
+	return nil
+}
+
+// packable reports whether radix^arity fits in a uint64, so that every
+// packed tuple is distinct.
+func packable(radix uint64, arity int) bool {
+	p := uint64(1)
+	for i := 0; i < arity; i++ {
+		hi, lo := bits.Mul64(p, radix)
+		if hi != 0 {
+			return false
+		}
+		p = lo
+	}
+	return true
+}
+
+func (c *Computer) pack(t []int) uint64 {
+	var key uint64
+	for i := len(t) - 1; i >= 0; i-- {
+		key = key*c.radix + uint64(t[i])
+	}
+	return key
+}
+
+// env is the game position: the point-move history appended to the
+// distinguished tuple, and the set-move history as element bitmasks
+// (domains have at most 63 elements).
 type env struct {
-	st    *structure.Structure
 	tuple []int
-	sets  []*bitset.Set
+	sets  []uint64
 }
 
 func (c *Computer) typeOf(e *env, k int) TypeID {
@@ -124,75 +210,127 @@ func (c *Computer) typeOf(e *env, k int) TypeID {
 		return 0
 	}
 	if k == 0 {
-		return c.intern("0|" + c.atomicKey(e))
+		c.key = c.appendAtomic(binary.AppendUvarint(c.key[:0], 0), e)
+		return c.intern()
 	}
-	n := e.st.Size()
+	n := int(c.radix)
 	// Point moves.
-	pointTypes := map[TypeID]bool{}
+	points := c.points[k][:0]
 	for elem := 0; elem < n && c.err == nil; elem++ {
 		e.tuple = append(e.tuple, elem)
-		pointTypes[c.typeOf(e, k-1)] = true
+		points = append(points, c.typeOf(e, k-1))
 		e.tuple = e.tuple[:len(e.tuple)-1]
 	}
-	// Set moves.
-	setTypes := map[TypeID]bool{}
-	for mask := uint64(0); mask < 1<<uint(n) && c.err == nil; mask++ {
-		s := bitset.New(n)
-		for i := 0; i < n; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				s.Add(i)
-			}
+	// Set moves. A rank-0 type sees a set only through the tuple
+	// elements it contains, so at rank 1 the subsets of the tuple's
+	// elements reach exactly the types that all of dom(A)'s do.
+	sets := c.sets[k][:0]
+	all := uint64(1)<<uint(n) - 1
+	if k == 1 {
+		all = 0
+		for _, elem := range e.tuple {
+			all |= 1 << uint(elem)
 		}
-		e.sets = append(e.sets, s)
-		setTypes[c.typeOf(e, k-1)] = true
-		e.sets = e.sets[:len(e.sets)-1]
 	}
+	for s := uint64(0); c.err == nil; s = (s - all) & all {
+		e.sets = append(e.sets, s)
+		sets = append(sets, c.typeOf(e, k-1))
+		e.sets = e.sets[:len(e.sets)-1]
+		if s == all {
+			break
+		}
+	}
+	c.points[k], c.sets[k] = points, sets
 	if c.err != nil {
 		return 0
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%s|p", k, c.atomicKey(e))
-	for _, id := range sortedIDs(pointTypes) {
-		fmt.Fprintf(&b, ",%d", id)
-	}
-	b.WriteString("|s")
-	for _, id := range sortedIDs(setTypes) {
-		fmt.Fprintf(&b, ",%d", id)
-	}
-	return c.intern(b.String())
+	key := c.appendAtomic(binary.AppendUvarint(c.key[:0], uint64(k)), e)
+	key = appendIDs(append(key, tagPoints), points)
+	c.key = appendIDs(append(key, tagSets), sets)
+	return c.intern()
 }
 
-// atomicKey is the rank-0 information: the atomic type of the tuple plus
-// the membership pattern of every tuple element in every chosen set.
-func (c *Computer) atomicKey(e *env) string {
-	var b strings.Builder
-	b.WriteString(e.st.AtomicTypeKey(e.tuple))
-	for si, s := range e.sets {
-		for ti, elem := range e.tuple {
-			if s.Has(elem) {
-				fmt.Fprintf(&b, "m%d.%d;", si, ti)
+// appendIDs appends the distinct IDs of ids in ascending order, sorting
+// ids in place.
+func appendIDs(key []byte, ids []TypeID) []byte {
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	key = binary.AppendUvarint(key, uint64(len(ids)))
+	for _, id := range ids {
+		key = binary.AppendUvarint(key, uint64(id))
+	}
+	return key
+}
+
+// appendAtomic appends the rank-0 information of e to key: the equality
+// pattern of the tuple, every relation atom that holds over tuple
+// positions, and the membership of every tuple element in every chosen
+// set, each in a fixed order. Two positions get equal encodings iff
+// they satisfy the same facts — the equivalence of
+// structure.AtomicTypeKey extended by set memberships.
+func (c *Computer) appendAtomic(key []byte, e *env) []byte {
+	t := e.tuple
+	for i := range t {
+		for j := i + 1; j < len(t); j++ {
+			if t[i] == t[j] {
+				key = binary.AppendUvarint(append(key, tagEq), uint64(i))
+				key = binary.AppendUvarint(key, uint64(j))
 			}
 		}
 	}
-	// The cardinality information carried by a set relative to the other
-	// sets is visible to later point moves only; nothing else is atomic.
-	return b.String()
+	for pi, a := range c.arity {
+		key = c.appendRel(key, t, pi, a)
+	}
+	for si, s := range e.sets {
+		for ti, elem := range t {
+			if s>>uint(elem)&1 != 0 {
+				key = binary.AppendUvarint(append(key, tagMember), uint64(si))
+				key = binary.AppendUvarint(key, uint64(ti))
+			}
+		}
+	}
+	return key
 }
 
-func sortedIDs(m map[TypeID]bool) []TypeID {
-	out := make([]TypeID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
+// appendRel appends the atoms of predicate pi (arity a) that hold over
+// the positions of t, position vectors in lexicographic order.
+func (c *Computer) appendRel(key []byte, t []int, pi, a int) []byte {
+	rel := c.rels[pi]
+	if len(rel) == 0 || (len(t) == 0 && a > 0) {
+		return key
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	pos := append(c.pos[:0], make([]int, a)...)
+	c.pos = pos
+	for {
+		var packed uint64
+		for i := a - 1; i >= 0; i-- {
+			packed = packed*c.radix + uint64(t[pos[i]])
+		}
+		if _, ok := slices.BinarySearch(rel, packed); ok {
+			key = binary.AppendUvarint(append(key, tagRel), uint64(pi))
+			for _, p := range pos {
+				key = binary.AppendUvarint(key, uint64(p))
+			}
+		}
+		// Advance the odometer, last position fastest.
+		i := a - 1
+		for ; i >= 0; i-- {
+			if pos[i]++; pos[i] < len(t) {
+				break
+			}
+			pos[i] = 0
+		}
+		if i < 0 {
+			return key
+		}
+	}
 }
 
 // KeyOf renders a TypeID for debugging (linear scan; test/tool use only).
 func (c *Computer) KeyOf(id TypeID) string {
 	for k, v := range c.ids {
 		if v == id {
-			return k
+			return strconv.Quote(k)
 		}
 	}
 	return strconv.Itoa(int(id))

@@ -8,6 +8,7 @@ package session
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -154,19 +155,28 @@ func TestConcurrentDistinctQueriesOneBuild(t *testing.T) {
 
 // TestProgramCacheSingleFlight pins that concurrent Get calls for one
 // key compile exactly once without serializing other keys behind the
-// compilation (the compile runs outside the cache lock).
+// compilation (the compile runs outside the cache lock). Concurrent Gets
+// for a key whose compilation fails each compile and fail in turn: every
+// one counts as a miss and nothing is cached.
 func TestProgramCacheSingleFlight(t *testing.T) {
 	st := randColored(rand.New(rand.NewSource(74)), 5)
 	pc := NewProgramCache()
 	phi := mso.MustParse("c(x)")
+	okOpts := core.Options{MaxWitnessDomain: 12, MaxTypes: 2000, MaxEDBSubsets: 65536}
+	failOpts := core.Options{MaxWitnessDomain: 12, MaxTypes: 3, MaxEDBSubsets: 65536}
 	const n = 8
 	var wg sync.WaitGroup
 	errs := make([]error, n)
+	failErrs := make([]error, n)
 	for i := 0; i < n; i++ {
-		wg.Add(1)
+		wg.Add(2)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = pc.Get(context.Background(), st.Sig(), phi, "x", core.Options{MaxWitnessDomain: 12, MaxTypes: 2000, MaxEDBSubsets: 65536})
+			_, _, errs[i] = pc.Get(context.Background(), st.Sig(), phi, "x", okOpts)
+		}(i)
+		go func(i int) {
+			defer wg.Done()
+			_, _, failErrs[i] = pc.Get(context.Background(), st.Sig(), phi, "x", failOpts)
 		}(i)
 	}
 	wg.Wait()
@@ -175,12 +185,20 @@ func TestProgramCacheSingleFlight(t *testing.T) {
 			t.Fatalf("get %d: %v", i, err)
 		}
 	}
+	for i, err := range failErrs {
+		if !errors.Is(err, core.ErrCompileLimit) {
+			t.Fatalf("failing get %d: err = %v, want core.ErrCompileLimit", i, err)
+		}
+	}
 	hits, misses := pc.Stats()
-	if misses != 1 {
-		t.Errorf("misses = %d, want 1 (shared in-flight compile)", misses)
+	if misses != 1+n {
+		t.Errorf("misses = %d, want %d (one shared in-flight compile, %d failed compiles)", misses, 1+n, n)
 	}
 	if hits != n-1 {
 		t.Errorf("hits = %d, want %d", hits, n-1)
+	}
+	if got := pc.Len(); got != 1 {
+		t.Errorf("cache holds %d programs, want 1 (failures are not cached)", got)
 	}
 }
 

@@ -142,8 +142,10 @@ func (pc *ProgramCache) Get(ctx context.Context, sig *structure.Signature, phi *
 
 		pc.mu.Lock()
 		delete(pc.flights, key)
+		// A failed compilation is a miss too, but it is not cached:
+		// the next Get for the key compiles again.
+		pc.misses++
 		if err == nil {
-			pc.misses++
 			pc.put(key, c)
 		}
 		pc.mu.Unlock()
@@ -186,7 +188,9 @@ func (pc *ProgramCache) Shed() int {
 	return n
 }
 
-// Stats reports hit/miss counts.
+// Stats reports hit/miss counts. A miss is a Get that compiled, whether
+// or not the compilation succeeded; a Get whose context ends while it
+// waits on another's compilation counts as neither.
 func (pc *ProgramCache) Stats() (hits, misses int) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
